@@ -142,10 +142,9 @@ fn main() -> ExitCode {
     let table2 = bench_doc("table2", args.reps, table2_rows);
 
     // Pass 2: the incremental driver — cold serial, cold parallel
-    // (pinned job count, so the document is machine-portable), a
-    // warm-cache rerun, and a distributed cold/warm pair through the
-    // multi-process sharded driver, with the driver's own counters as
-    // the hardware-independent proxies.
+    // (pinned job count, so the document is machine-portable) and a
+    // warm-cache rerun, with the driver's own counters as the
+    // hardware-independent proxies.
     let mut incr_rows = Vec::new();
     let cache_root = std::env::temp_dir()
         .join(format!("bench-regress-{}", std::process::id()));
@@ -169,27 +168,6 @@ fn main() -> ExitCode {
         let _ = analyze_source_incremental(&src, &cached);
         let (warm, rw) = run(&cached);
         let _ = std::fs::remove_dir_all(&cache);
-        // Distributed pass: the same corpus through the multi-process
-        // sharded driver, cold then warm against the shared cache. The
-        // worker executable is this binary's sibling `cqual` when one
-        // is built; without it the pool degrades in-process and the
-        // timings simply measure the fallback (timings are advisory
-        // either way — the counts must still match exactly).
-        let worker_exe = std::env::current_exe().ok().and_then(|e| {
-            let cand = e.parent()?.join("cqual");
-            cand.is_file().then_some(cand)
-        });
-        let dist_cache = cache_root.join(format!("{}-dist", p.name));
-        let _ = std::fs::remove_dir_all(&dist_cache);
-        let dist_cfg = IncrConfig {
-            workers: 2,
-            worker_exe,
-            cache_dir: Some(dist_cache.clone()),
-            ..IncrConfig::default()
-        };
-        let (dist_cold, rdc) = run(&dist_cfg);
-        let (dist_warm, rdw) = run(&dist_cfg);
-        let _ = std::fs::remove_dir_all(&dist_cache);
         // Served pass: the same corpus through a resident analysis
         // server (the `cquald` session, hosted in-process) over its
         // unix socket — a cold request into the fresh session, then a
@@ -264,13 +242,9 @@ fn main() -> ExitCode {
             bench_failed = true;
             continue;
         }
-        if cold1.counts != coldn.counts
-            || cold1.counts != warm.counts
-            || cold1.counts != dist_cold.counts
-            || cold1.counts != dist_warm.counts
-        {
+        if cold1.counts != coldn.counts || cold1.counts != warm.counts {
             eprintln!(
-                "bench-regress: `{}`: counts differ across serial/parallel/warm/distributed runs",
+                "bench-regress: `{}`: counts differ across serial/parallel/warm runs",
                 p.name
             );
             bench_failed = true;
@@ -296,8 +270,6 @@ fn main() -> ExitCode {
             ("cold1_ns".to_owned(), Json::num(r1.total_ns)),
             ("coldn_ns".to_owned(), Json::num(rn.total_ns)),
             ("warm_ns".to_owned(), Json::num(rw.total_ns)),
-            ("dist_cold_ns".to_owned(), Json::num(rdc.total_ns)),
-            ("dist_warm_ns".to_owned(), Json::num(rdw.total_ns)),
             ("serve_cold_ns".to_owned(), Json::num(serve_cold_ns)),
             ("serve_warm_ns".to_owned(), Json::num(serve_warm_ns)),
         ]));

@@ -251,7 +251,7 @@ pub fn space_for(list: &str) -> Result<QualSpace, QualSetError> {
 
 /// The canonical `--qual` spelling of a space: its qualifier names,
 /// comma-joined in declaration order. Round-trips through [`space_for`]
-/// for spaces made of catalog names; carried on the wire (QSP1 Hello /
+/// for spaces made of catalog names; carried on the wire (QSP1
 /// Analyze) and hashed into cache keys.
 #[must_use]
 pub fn space_names(space: &QualSpace) -> String {

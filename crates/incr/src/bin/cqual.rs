@@ -4,8 +4,7 @@
 //! ```text
 //! cqual [--mode mono|poly|polyrec] [--annotate|--rewrite|--report]
 //!       [--qual LIST] [--list-quals] [--verify] [--explain]
-//!       [--keep-going] [--jobs N] [--workers N]
-//!       [--worker-deadline-ms N] [--max-worker-respawns N]
+//!       [--keep-going] [--jobs N]
 //!       [--cache-dir DIR] [--cache-stats] [--unit-deadline-ms N]
 //!       [--max-retries N] [--memory-budget-mb N] [--fault-plan SPEC]
 //!       [--max-constraints N] [--max-solver-steps N] [--max-fn-work N]
@@ -43,20 +42,6 @@
 //!   state; cache trouble is reported on stderr but never changes the
 //!   exit code. `--annotate`/`--rewrite`/`--explain` still use the
 //!   classic pipeline (a note says so).
-//! * `--workers N`: shard the wavefronts across N worker *processes*
-//!   (the same `cqual` binary, re-executed with the hidden
-//!   `--worker-mode` entry point) supervised over pipes with
-//!   heartbeats, deadline-based death declaration, unit reassignment,
-//!   bounded respawn, and work stealing (DESIGN.md §15). The report is
-//!   byte-identical to a serial run for any `--workers`/`--jobs`/cache
-//!   state; worker trouble degrades back to in-process execution with
-//!   a note on stderr, never a panic, hang, or changed exit code.
-//! * `--worker-deadline-ms N`: declare a worker whose heartbeat stays
-//!   silent for N ms dead (default 1000); its claimed unit is
-//!   reassigned and the process respawned while the respawn budget
-//!   lasts.
-//! * `--max-worker-respawns N`: total worker respawns allowed per run
-//!   (default 4) before degrading to in-process execution.
 //! * `--unit-deadline-ms N`: cancel any unit still running after N
 //!   milliseconds of wall clock (cooperative — polled inside the engine
 //!   and solver loops) and exclude it like a budget-faulted unit.
@@ -109,7 +94,6 @@
 //! | 1    | analysis finished but skipped something (including quarantined or deadline-cancelled units), solving failed, or an input could not be read |
 //! | 2    | bad usage (unknown flag, missing argument, no input files, malformed `--fault-plan`); usage goes to stderr |
 //! | 3    | `--verify` found a result that failed certification |
-//! | 4    | worker-mode protocol failure (internal: only a coordinator ever sees it, and reacts by reassigning the worker's units) |
 //!
 //! Cache infrastructure trouble (corrupt entries, store failures, an
 //! unavailable lock) is reported on stderr but never changes the exit
@@ -138,8 +122,6 @@ static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
 const USAGE: &str = "usage: cqual [--mode mono|poly|polyrec] [--report|--annotate|--rewrite]\n\
                      \x20            [--qual LIST] [--list-quals]\n\
                      \x20            [--verify] [--explain] [--keep-going] [--jobs N]\n\
-                     \x20            [--workers N] [--worker-deadline-ms N]\n\
-                     \x20            [--max-worker-respawns N]\n\
                      \x20            [--cache-dir DIR] [--cache-stats]\n\
                      \x20            [--unit-deadline-ms N] [--max-retries N]\n\
                      \x20            [--memory-budget-mb N] [--fault-plan SPEC]\n\
@@ -167,10 +149,6 @@ struct Config {
     /// `Some(n)` when `--jobs` was given — an explicit `--jobs 1` still
     /// opts into the incremental driver (useful for differencing).
     jobs: Option<usize>,
-    /// Worker *processes* (`--workers`); `Some(0)` is rejected at parse.
-    workers: Option<usize>,
-    worker_deadline_ms: Option<u64>,
-    max_worker_respawns: Option<u32>,
     cache_dir: Option<PathBuf>,
     cache_stats: bool,
     unit_deadline_ms: Option<u64>,
@@ -190,9 +168,6 @@ impl Config {
     /// Whether any incremental-driver flag was given.
     fn incremental(&self) -> bool {
         self.jobs.is_some()
-            || self.workers.is_some()
-            || self.worker_deadline_ms.is_some()
-            || self.max_worker_respawns.is_some()
             || self.cache_dir.is_some()
             || self.cache_stats
             || self.unit_deadline_ms.is_some()
@@ -219,20 +194,11 @@ enum Action {
 }
 
 fn main() -> ExitCode {
-    // Arm fault injection from the environment up front (workers
-    // inherit the environment, so a fault plan reaches both sides); an
-    // explicit `--fault-plan` below overrides it.
+    // Arm fault injection from the environment up front; an explicit
+    // `--fault-plan` below overrides it.
     if let Err(e) = qual_faultpoint::install_from_env() {
         eprintln!("cqual: {e}");
         return ExitCode::from(2);
-    }
-    // The hidden worker entry point: `cqual --worker-mode` is spawned
-    // by a coordinating cqual, speaks the frame protocol on
-    // stdin/stdout, and never parses the rest of the command line.
-    if std::env::args().nth(1).as_deref() == Some("--worker-mode") {
-        return ExitCode::from(
-            u8::try_from(qual_incr::worker_main()).unwrap_or(4),
-        );
     }
     let mut cfg = Config {
         mode: Mode::Polymorphic,
@@ -242,9 +208,6 @@ fn main() -> ExitCode {
         verify: false,
         explain: false,
         jobs: None,
-        workers: None,
-        worker_deadline_ms: None,
-        max_worker_respawns: None,
         cache_dir: None,
         cache_stats: false,
         unit_deadline_ms: None,
@@ -290,22 +253,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => cfg.jobs = Some(n),
                 _ => return usage(),
             },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.workers = Some(n),
-                _ => return usage(),
-            },
-            "--worker-deadline-ms" => {
-                match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cfg.worker_deadline_ms = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--max-worker-respawns" => {
-                match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => cfg.max_worker_respawns = Some(n),
-                    None => return usage(),
-                }
-            }
             "--cache-dir" => match args.next() {
                 Some(d) => cfg.cache_dir = Some(PathBuf::from(d)),
                 None => return usage(),
@@ -697,14 +644,6 @@ fn incr_config(cfg: &Config) -> IncrConfig {
         unit_deadline_ms: cfg.unit_deadline_ms,
         memory_budget_mb: cfg.memory_budget_mb,
         max_retries: cfg.max_retries.unwrap_or(defaults.max_retries),
-        workers: cfg.workers.unwrap_or(0),
-        worker_deadline_ms: cfg
-            .worker_deadline_ms
-            .unwrap_or(defaults.worker_deadline_ms),
-        max_worker_respawns: cfg
-            .max_worker_respawns
-            .unwrap_or(defaults.max_worker_respawns),
-        ..defaults
     }
 }
 

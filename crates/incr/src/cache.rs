@@ -57,11 +57,11 @@ const MAGIC: &[u8; 4] = b"QINC";
 /// Container header size: magic + version + generation + length + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8 + 8;
 
-/// FNV-1a, 64-bit.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a, 64-bit; also the QSP1 frame checksum ([`crate::proto`]).
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= u64::from(b);
@@ -93,13 +93,6 @@ impl Key {
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
-    }
-
-    /// The key folded to 64 bits — for digests over key *sets* (e.g.
-    /// the coordinator/worker plan cross-check), not for addressing.
-    #[must_use]
-    pub fn fold(&self) -> u64 {
-        self.hi.rotate_left(32) ^ self.lo
     }
 }
 
@@ -257,8 +250,8 @@ pub fn is_disk_full(e: &std::io::Error) -> bool {
     e.raw_os_error() == Some(28) || is_disk_full_msg(&e.to_string())
 }
 
-/// Message-level ENOSPC classification, for errors that crossed a
-/// process or wire boundary as strings (worker Done frames).
+/// Message-level ENOSPC classification, for errors already rendered to
+/// strings (a unit's recorded store error).
 #[must_use]
 pub fn is_disk_full_msg(msg: &str) -> bool {
     msg.contains("ENOSPC") || msg.contains("No space left on device")

@@ -32,9 +32,6 @@
 pub mod cache;
 pub mod proto;
 pub mod serve;
-mod shard;
-
-pub use shard::worker_main;
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -96,27 +93,6 @@ pub struct IncrConfig {
     /// (0 = fail fast). Applies to entry reads, entry writes, and the
     /// session generation bump.
     pub max_retries: u32,
-    /// Worker *processes* to shard wavefronts across (`0` = in-process
-    /// only). Units are handed to workers over pipes; results are
-    /// byte-identical to any in-process configuration. Worker trouble
-    /// (spawn failure, crash, hang) degrades back to in-process
-    /// execution with a structured diagnostic — never a panic or hang.
-    pub workers: usize,
-    /// The worker executable. `None` resolves `QUAL_WORKER_EXE`, then
-    /// the current executable (when it is `cqual` itself), then a
-    /// sibling `cqual` binary. Unresolvable ⇒ degrade to in-process.
-    pub worker_exe: Option<PathBuf>,
-    /// A worker whose heartbeat stays silent this long (ms) is declared
-    /// dead: killed, its claimed unit reassigned, the process respawned
-    /// while the respawn budget lasts.
-    pub worker_deadline_ms: u64,
-    /// A busy unit older than this (ms) may be speculatively duplicated
-    /// onto an idle worker (work stealing for straggler SCCs); the first
-    /// result wins — summaries are deterministic, so both are identical.
-    pub steal_after_ms: u64,
-    /// Total worker respawns allowed per run (with exponential backoff)
-    /// before the pool gives up and the run degrades to in-process.
-    pub max_worker_respawns: u32,
     /// Per-unit memory budget in MiB (`--memory-budget-mb`). A unit
     /// whose gross allocation exceeds it is quarantined with a
     /// structured diagnostic — the rollback-and-exclude path a
@@ -137,11 +113,6 @@ impl Default for IncrConfig {
             cache_dir: None,
             unit_deadline_ms: None,
             max_retries: RetryPolicy::default().max_retries,
-            workers: 0,
-            worker_exe: None,
-            worker_deadline_ms: 1000,
-            steal_after_ms: 200,
-            max_worker_respawns: 4,
             memory_budget_mb: None,
         }
     }
@@ -180,20 +151,6 @@ pub struct IncrStats {
     /// This run's cache generation (0 = no cache or counter
     /// unreachable).
     pub generation: u64,
-    /// Worker processes requested (0 = in-process only).
-    pub workers: usize,
-    /// Worker processes spawned, initial spawns and respawns included.
-    pub workers_spawned: u64,
-    /// Workers killed by the coordinator (silent heartbeat, plan
-    /// mismatch, or pool shutdown with the worker still alive).
-    pub workers_killed: u64,
-    /// Workers respawned after dying or being declared dead.
-    pub workers_respawned: u64,
-    /// Units reassigned after the worker holding them was lost.
-    pub units_reassigned: u64,
-    /// Speculative duplicate dispatches of straggler units (work
-    /// stealing); the first finished copy wins.
-    pub steals: u64,
 }
 
 /// The result of an incremental run — the same counts, positions, and
@@ -231,80 +188,64 @@ impl IncrOutcome {
 }
 
 /// One planned unit.
-pub(crate) struct UnitPlan {
-    pub(crate) kind: UnitKind,
-    pub(crate) key: Key,
-    pub(crate) proxies: Vec<String>,
+struct UnitPlan {
+    kind: UnitKind,
+    key: Key,
+    proxies: Vec<String>,
     /// Human-readable name for diagnostics ("globals" or the members).
-    pub(crate) label: String,
+    label: String,
 }
 
 /// What executing one unit produced.
-pub(crate) struct Executed {
-    pub(crate) summary: UnitSummary,
-    pub(crate) reused: bool,
-    pub(crate) corrupt: Option<String>,
-    pub(crate) stored: bool,
-    pub(crate) store_err: Option<String>,
+struct Executed {
+    summary: UnitSummary,
+    reused: bool,
+    corrupt: Option<String>,
+    stored: bool,
+    store_err: Option<String>,
     /// Cache I/O retries this unit spent (load + store).
-    pub(crate) retries: u64,
+    retries: u64,
     /// Whether the unit was quarantined after a worker panic.
-    pub(crate) quarantined: bool,
+    quarantined: bool,
     /// Spans/counters captured on the executing worker (empty when
     /// metrics are off). Carried back so the driver can absorb unit
     /// reports in deterministic unit order, not completion order.
-    pub(crate) metrics: qual_obs::Report,
+    metrics: qual_obs::Report,
 }
 
 /// Everything a worker needs to execute units, shared immutably.
-pub(crate) struct UnitCtx<'a> {
-    pub(crate) prog: &'a Program,
-    pub(crate) sema: &'a Sema,
-    pub(crate) space: &'a QualSpace,
-    pub(crate) cfg: &'a IncrConfig,
+struct UnitCtx<'a> {
+    prog: &'a Program,
+    sema: &'a Sema,
+    space: &'a QualSpace,
+    cfg: &'a IncrConfig,
     /// This session's cache generation (stamped into stored entries).
-    pub(crate) generation: u64,
-    pub(crate) policy: RetryPolicy,
+    generation: u64,
+    policy: RetryPolicy,
     /// Disk-full degrade latch (retry suppression while degraded).
-    pub(crate) health: &'a cache::Health,
+    health: &'a cache::Health,
 }
 
 /// One unit's dispatch record for a wavefront: the global plan index
 /// plus the callee schemes and failed-function names it imports from
 /// earlier fronts.
-pub(crate) type FrontInput = (usize, Vec<CanonScheme>, Vec<String>);
+type FrontInput = (usize, Vec<CanonScheme>, Vec<String>);
 
-/// Executes one wavefront's units, preferring the worker-process pool
-/// and falling back in-process for everything the pool did not
-/// complete (no pool configured, pool degraded, or individual units
-/// lost to dead workers). Always returns exactly one result per input,
-/// sorted by unit index — no matter how many processes or threads the
-/// fault plan kills along the way.
+/// Executes one wavefront's units on up to `jobs` scoped threads.
+/// Always returns exactly one result per input, sorted by unit index —
+/// no matter how many threads the fault plan kills along the way.
 fn execute_front(
-    pool: &mut Option<shard::Pool>,
     ctx: &UnitCtx<'_>,
     plans: &[UnitPlan],
     inputs: &[FrontInput],
     jobs: usize,
-    cache_diags: &mut Vec<Diagnostic>,
 ) -> Vec<(usize, Executed)> {
     let mut results: Vec<(usize, Executed)> = Vec::new();
-    if let Some(p) = pool.as_mut() {
-        results = p.run_front(inputs);
-        cache_diags.extend(p.drain_diags());
-    }
-
-    let have: HashSet<usize> = results.iter().map(|(idx, _)| *idx).collect();
-    let missing: Vec<&FrontInput> = inputs
-        .iter()
-        .filter(|(idx, _, _)| !have.contains(idx))
-        .collect();
-    if missing.len() > 1 && jobs > 1 {
+    if inputs.len() > 1 && jobs > 1 {
         let next = AtomicUsize::new(0);
         let out: Mutex<Vec<(usize, Executed)>> = Mutex::new(Vec::new());
-        let missing_ref = &missing;
         std::thread::scope(|sc| {
-            for _ in 0..jobs.min(missing.len()) {
+            for _ in 0..jobs.min(inputs.len()) {
                 // A worker that panics would poison `scope`'s join and
                 // abort the whole run, so the entire worker body sits
                 // under `catch_unwind`: a dying worker (e.g. an
@@ -316,8 +257,7 @@ fn execute_front(
                         qual_faultpoint::maybe_panic("worker.spawn");
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((idx, schemes, failed)) =
-                                missing_ref.get(i).map(|t| &**t)
+                            let Some((idx, schemes, failed)) = inputs.get(i)
                             else {
                                 break;
                             };
@@ -343,15 +283,15 @@ fn execute_front(
             out.into_inner().unwrap_or_else(PoisonError::into_inner),
         );
     } else {
-        for (idx, schemes, failed) in missing.iter().map(|t| &**t) {
+        for (idx, schemes, failed) in inputs {
             results.push((*idx, run_supervised(ctx, &plans[*idx], schemes, failed)));
         }
     }
 
-    // Supervision sweep: any unit claimed by a worker (process or
-    // thread) that died before reporting is re-run inline. This
-    // guarantees every unit produces a summary no matter how many
-    // workers the fault plan kills.
+    // Supervision sweep: any unit claimed by a worker thread that died
+    // before reporting is re-run inline. This guarantees every unit
+    // produces a summary no matter how many workers the fault plan
+    // kills.
     if results.len() != inputs.len() {
         let have: HashSet<usize> = results.iter().map(|(idx, _)| *idx).collect();
         for (idx, schemes, failed) in inputs {
@@ -366,34 +306,20 @@ fn execute_front(
     results
 }
 
-/// The deterministic unit plan for one source + configuration. The
-/// coordinator and every worker process compute this independently from
-/// identical inputs and must agree exactly; the process protocol
-/// cross-checks unit count and [`plan_digest`] before any unit is
-/// dispatched.
-pub(crate) struct Planned {
-    pub(crate) program: Program,
-    pub(crate) sema: Sema,
-    pub(crate) skipped: Vec<Diagnostic>,
-    pub(crate) space: QualSpace,
-    pub(crate) plans: Vec<UnitPlan>,
+/// The deterministic unit plan for one source + configuration.
+struct Planned {
+    program: Program,
+    sema: Sema,
+    skipped: Vec<Diagnostic>,
+    space: QualSpace,
+    plans: Vec<UnitPlan>,
     /// FDG wavefronts; entries index `fdg.sccs`, i.e. `plans[1 + s]`.
-    pub(crate) fronts: Vec<Vec<usize>>,
-}
-
-/// Folds every planned unit key into one digest for the
-/// coordinator/worker plan cross-check.
-pub(crate) fn plan_digest(plans: &[UnitPlan]) -> u64 {
-    let mut h = KeyHasher::new();
-    for p in plans {
-        h.key(&p.key);
-    }
-    h.finish().fold()
+    fronts: Vec<Vec<usize>>,
 }
 
 /// Plans the unit decomposition: front end recovery, FDG, content keys,
 /// wavefront schedule — everything up to (but not including) execution.
-pub(crate) fn plan_units(src: &str, cfg: &IncrConfig) -> Planned {
+fn plan_units(src: &str, cfg: &IncrConfig) -> Planned {
     let RecoveredUnit {
         program,
         sema,
@@ -662,7 +588,6 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         units: plans.len(),
         wavefronts: fronts.len(),
         jobs,
-        workers: cfg.workers,
         generation: driver.generation,
         lock_wait_ms: driver.lock_wait_ms,
         lock_steals: driver.lock_steals,
@@ -685,23 +610,6 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         policy,
         health: &driver.cache_health,
     };
-
-    // Process sharding: spawn the worker pool up front so workers can
-    // plan while the coordinator starts on the globals unit. Pool-level
-    // trouble — unresolvable worker executable, spawn failures, a plan
-    // mismatch, every worker dead with the respawn budget spent —
-    // degrades to in-process execution with a structured diagnostic; it
-    // never changes analysis results, exit codes, or output bytes.
-    let mut pool: Option<shard::Pool> = None;
-    if cfg.workers > 0 {
-        match shard::Pool::start(src, cfg, generation, plans.len(), plan_digest(&plans)) {
-            Ok(p) => pool = Some(p),
-            Err(msg) => cache_diags.push(Diagnostic::warning(
-                Phase::Infer,
-                format!("workers: {msg}; running in-process"),
-            )),
-        }
-    }
     let mut summaries: Vec<Option<UnitSummary>> =
         (0..plans.len()).map(|_| None).collect();
     let mut scheme_pool: HashMap<String, CanonScheme> = HashMap::new();
@@ -743,8 +651,8 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         if let Some(msg) = ex.store_err {
             if cache::is_disk_full_msg(&msg) {
                 // Structured cacheless degrade: exactly one diagnostic
-                // per episode, not one per missed store. Worker-process
-                // store errors arrive as strings, so classify by
+                // per episode, not one per missed store. Store errors
+                // travel in `Executed` as strings, so classify by
                 // message.
                 qual_obs::count("cache.enospc_stores", 1);
                 if let Some(d) = driver.cache_health.note_disk_full() {
@@ -791,9 +699,7 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
     // The globals unit runs before every wavefront (function units may
     // reference global cells).
     let globals_inputs: Vec<FrontInput> = vec![(0, Vec::new(), Vec::new())];
-    for (idx, ex) in
-        execute_front(&mut pool, &ctx, &plans, &globals_inputs, jobs, &mut cache_diags)
-    {
+    for (idx, ex) in execute_front(&ctx, &plans, &globals_inputs, jobs) {
         absorb(idx, ex, &mut stats, &mut cache_diags, &mut summaries);
     }
 
@@ -820,10 +726,8 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
             .collect();
 
         // Deterministic merge: absorb in SCC order regardless of which
-        // worker (process or thread) finished first.
-        for (idx, ex) in
-            execute_front(&mut pool, &ctx, &plans, &inputs, jobs, &mut cache_diags)
-        {
+        // worker thread finished first.
+        for (idx, ex) in execute_front(&ctx, &plans, &inputs, jobs) {
             absorb(idx, ex, &mut stats, &mut cache_diags, &mut summaries);
         }
         // Publish this front's schemes and failures for later fronts,
@@ -837,18 +741,6 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
                 failed_set.insert(f.clone());
             }
         }
-    }
-
-    // Retire the pool and fold its accounting into the run's stats.
-    if let Some(mut p) = pool.take() {
-        p.shutdown();
-        cache_diags.extend(p.drain_diags());
-        let w = p.stats();
-        stats.workers_spawned = w.spawned;
-        stats.workers_killed = w.killed;
-        stats.workers_respawned = w.respawned;
-        stats.units_reassigned = w.reassigned;
-        stats.steals = w.steals;
     }
 
     // Splice: one merged constraint system over shared anchor
@@ -1036,12 +928,6 @@ fn record_run_metrics(
         }
     }
     qual_obs::peak("sched.jobs", stats.jobs as u64);
-    qual_obs::peak("worker.processes", stats.workers as u64);
-    qual_obs::count("worker.spawned", stats.workers_spawned);
-    qual_obs::count("worker.killed", stats.workers_killed);
-    qual_obs::count("worker.respawned", stats.workers_respawned);
-    qual_obs::count("worker.reassigned", stats.units_reassigned);
-    qual_obs::count("worker.steals", stats.steals);
     qual_obs::count("cache.analyzed", stats.analyzed as u64);
     qual_obs::count("cache.reused", stats.reused as u64);
     qual_obs::count("cache.corrupt", stats.corrupt as u64);
@@ -1057,11 +943,11 @@ fn record_run_metrics(
     qual_obs::peak("mem.live_bytes", qual_obs::mem::live_bytes());
 }
 
-/// Renders the exact three `--cache-stats` lines from a metrics report,
+/// Renders the exact two `--cache-stats` lines from a metrics report,
 /// so the human output and the JSON document are two views of the same
 /// counters and can never disagree (the `metrics.rs` test pins this).
 #[must_use]
-pub fn cache_stats_lines(report: &qual_obs::Report) -> [String; 3] {
+pub fn cache_stats_lines(report: &qual_obs::Report) -> [String; 2] {
     let c = |name: &str| report.counter(name);
     [
         format!(
@@ -1084,16 +970,6 @@ pub fn cache_stats_lines(report: &qual_obs::Report) -> [String; 3] {
             c("cache.quarantined"),
             c("cache.lock_wait_ms"),
             c("cache.lock_steals"),
-        ),
-        format!(
-            "{} worker process(es): {} spawned, {} killed, {} respawned; \
-             {} unit(s) reassigned, {} steal(s)",
-            report.peak_value("worker.processes"),
-            c("worker.spawned"),
-            c("worker.killed"),
-            c("worker.respawned"),
-            c("worker.reassigned"),
-            c("worker.steals"),
         ),
     ]
 }
@@ -1164,7 +1040,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// configured) and converts a panic anywhere inside the unit —
 /// analysis, cache codec, injected fault — into a quarantine summary
 /// instead of a dead worker.
-pub(crate) fn run_supervised(
+fn run_supervised(
     ctx: &UnitCtx<'_>,
     plan: &UnitPlan,
     schemes: &[CanonScheme],

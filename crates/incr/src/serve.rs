@@ -14,8 +14,7 @@
 //! serves warm from the same cache, and a client that cannot reach the
 //! daemon degrades to in-process analysis.
 //!
-//! Robustness disciplines, mirroring the multi-process driver in
-//! [`crate::shard`]:
+//! Robustness disciplines:
 //!
 //! * **Supervised connections.** Each accepted connection runs on its
 //!   own incarnation-tagged thread under `catch_unwind`; a poisoned

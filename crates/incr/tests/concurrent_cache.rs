@@ -85,10 +85,9 @@ fn threads_sharing_one_cache_dir_agree_and_corrupt_nothing() {
 
 #[test]
 fn n_processes_sharing_one_cache_dir() {
-    // Five racing cold processes — two of them themselves sharded into
-    // worker subprocesses — all pounding one cache directory. However
-    // the writes interleave, no entry may tear, every process must
-    // report identically, and locked generations must stay unique.
+    // Five racing cold processes all pounding one cache directory.
+    // However the writes interleave, no entry may tear, every process
+    // must report identically, and locked generations must stay unique.
     const N: usize = 5;
     let dir = scratch("procs");
     let src_file = std::env::temp_dir().join(format!(
@@ -97,25 +96,20 @@ fn n_processes_sharing_one_cache_dir() {
     ));
     std::fs::write(&src_file, SRC).expect("write source file");
 
-    let spawn = |workers: usize| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cqual"));
-        cmd.args(["--jobs", "2"]);
-        if workers > 0 {
-            cmd.args(["--workers".to_string(), workers.to_string()]);
-        }
-        cmd.args([
-            "--cache-dir",
-            dir.to_str().unwrap(),
-            "--cache-stats",
-            src_file.to_str().unwrap(),
-        ])
-        .output()
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_cqual"))
+            .args([
+                "--jobs",
+                "2",
+                "--cache-dir",
+                dir.to_str().unwrap(),
+                "--cache-stats",
+                src_file.to_str().unwrap(),
+            ])
+            .output()
     };
-    // N racing cold runs (process i gets i % 3 worker subprocesses, so
-    // the race mixes plain and sharded coordinators).
     let outs: Vec<std::process::Output> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            (0..N).map(|i| s.spawn(move || spawn(i % 3))).collect();
+        let handles: Vec<_> = (0..N).map(|_| s.spawn(spawn)).collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap().expect("spawn cqual"))
@@ -166,7 +160,7 @@ fn n_processes_sharing_one_cache_dir() {
 
     // ...then a warm run re-solves nothing: whatever interleaving the
     // writers had, every published entry is whole and certified.
-    let warm = spawn(0).expect("spawn cqual");
+    let warm = spawn().expect("spawn cqual");
     assert_eq!(warm.status.code(), Some(0));
     let stats = String::from_utf8_lossy(&warm.stdout);
     assert!(

@@ -10,6 +10,11 @@
 //! * **`--cache-stats` consistency** — the human stats lines are
 //!   rendered *from* the metrics report, so every number in them equals
 //!   the corresponding counter in the JSON document, always.
+//!
+//! Fault plans and the environment are process-global, and the test
+//! harness runs this file's tests on parallel threads, so every test
+//! holds [`qual_faultpoint::test_lock`]: one test's `unit.solve` panic
+//! plan or `QUAL_LOCK_STALE_MS` must never reach another's analysis.
 
 use qual_constinfer::Mode;
 use qual_incr::{analyze_source_incremental, cache_stats_lines, IncrConfig, IncrOutcome};
@@ -38,6 +43,7 @@ fn visible(out: &IncrOutcome, src: &str) -> String {
 
 #[test]
 fn metrics_on_equals_metrics_off() {
+    let _g = qual_faultpoint::test_lock();
     let src = corpus();
     for mode in [Mode::Monomorphic, Mode::Polymorphic] {
         let cfg = IncrConfig {
@@ -66,6 +72,7 @@ fn metrics_on_equals_metrics_off() {
 
 #[test]
 fn multi_qualifier_run_pins_coords_peak_and_per_qual_counters() {
+    let _g = qual_faultpoint::test_lock();
     // The paper's promise, measured: four qualifier spaces solve in ONE
     // word-parallel propagation pass. `solve.coords` peaks at the space
     // width, the merged solve enters `solve-propagate` exactly once,
@@ -119,6 +126,7 @@ fn multi_qualifier_run_pins_coords_peak_and_per_qual_counters() {
 
 #[test]
 fn metrics_overhead_stays_bounded() {
+    let _g = qual_faultpoint::test_lock();
     // A generous bound: instrumentation is a handful of map inserts per
     // phase, so even on a noisy CI box the collected run must not cost
     // multiples of the plain one. Measured across several repetitions,
@@ -193,6 +201,7 @@ fn quarantined_unit_still_yields_well_formed_partial_document() {
 
 #[test]
 fn cache_stats_lines_agree_with_json_counters() {
+    let _g = qual_faultpoint::test_lock();
     let dir = std::env::temp_dir()
         .join(format!("qinc-metrics-stats-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -208,7 +217,7 @@ fn cache_stats_lines_agree_with_json_counters() {
     for _ in 0..2 {
         let (out, report) =
             qual_obs::scoped(|| analyze_source_incremental(src, &cfg));
-        let [units_line, session_line, worker_line] = cache_stats_lines(&report);
+        let [units_line, session_line] = cache_stats_lines(&report);
         // The human lines must carry exactly the run's stats...
         let s = out.stats;
         assert_eq!(
@@ -234,19 +243,6 @@ fn cache_stats_lines_agree_with_json_counters() {
                 s.generation, s.retries, s.quarantined, s.lock_wait_ms, s.lock_steals
             )
         );
-        assert_eq!(
-            worker_line,
-            format!(
-                "{} worker process(es): {} spawned, {} killed, {} respawned; \
-                 {} unit(s) reassigned, {} steal(s)",
-                s.workers,
-                s.workers_spawned,
-                s.workers_killed,
-                s.workers_respawned,
-                s.units_reassigned,
-                s.steals
-            )
-        );
         // ...and every number in them must equal the JSON counter it
         // was rendered from — same source, so disagreement is
         // impossible by construction, and this pins that construction.
@@ -267,6 +263,7 @@ fn cache_stats_lines_agree_with_json_counters() {
 
 #[test]
 fn stale_lock_steals_are_counted_and_diagnosed() {
+    let _g = qual_faultpoint::test_lock();
     // A lock file left behind by a dead session: with the staleness
     // bound shrunk to zero, opening a session must steal it — and the
     // steal must surface as the `cache.lock_stolen` counter plus one
@@ -304,6 +301,7 @@ fn stale_lock_steals_are_counted_and_diagnosed() {
 
 #[test]
 fn unit_reports_arrive_in_unit_order_not_completion_order() {
+    let _g = qual_faultpoint::test_lock();
     let src = "int a(char *x) { return *x; }
                int b(char *y) { return a(y); }
                int c(char *z) { return b(z); }";
@@ -328,6 +326,7 @@ fn unit_reports_arrive_in_unit_order_not_completion_order() {
 
 #[test]
 fn disabled_metrics_produce_empty_ambient_state() {
+    let _g = qual_faultpoint::test_lock();
     // Without a collector, a full analysis records nothing anywhere —
     // the probes must not leak state between runs.
     let out = analyze_source_incremental(
@@ -342,6 +341,7 @@ fn disabled_metrics_produce_empty_ambient_state() {
 
 #[test]
 fn report_merge_is_associative_over_absorb() {
+    let _g = qual_faultpoint::test_lock();
     // --keep-going absorbs one nested report per file into the
     // invocation report; the result must equal collecting both runs
     // under one scope directly.

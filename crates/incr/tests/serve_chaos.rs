@@ -15,7 +15,9 @@
 //! * N concurrent `--connect` clients are byte-identical to serial
 //!   `cqual`;
 //! * a seed-derived fault plan over every `serve.*` point still yields
-//!   byte-identical client output, wherever the faults land.
+//!   byte-identical client output, wherever the faults land;
+//! * pinned `proto.read`/`proto.write` faults on the daemon's frames
+//!   (failed and garbled reads and writes) do the same.
 //!
 //! Daemon stderr goes to per-test log files under `QUAL_SERVE_LOG_DIR`
 //! (default: the system temp dir) so CI can upload them on failure.
@@ -544,6 +546,40 @@ fn seeded_serve_faults_still_yield_byte_identical_output() {
         daemon.alive(),
         "daemon died under seeded serve faults (plan {plan})"
     );
+}
+
+#[test]
+fn pinned_proto_faults_still_yield_byte_identical_output() {
+    let dir = TempDir::new("proto-plans");
+    let file = dir.write("a.c", SRC_A);
+    let local = baseline(&file);
+    for (i, plan) in [
+        "proto.read@2=io",
+        "proto.read@4=garbage",
+        "proto.write@3=io",
+        "proto.write@2=garbage",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let socket = dir.path(&format!("d{i}.sock"));
+        let mut daemon = Daemon::spawn("proto-plans", &socket, &[], &[("QUAL_FAULT_PLAN", plan)]);
+        for round in 0..5 {
+            let out = connect_run(&socket, &file);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "round {round} (plan {plan}): {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                local,
+                "round {round} under plan {plan} changed the report"
+            );
+        }
+        assert!(daemon.alive(), "daemon died under plan {plan}");
+    }
 }
 
 #[test]
