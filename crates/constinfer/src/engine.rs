@@ -377,20 +377,13 @@ impl<'a> Engine<'a> {
         mode: Mode,
         budgets: Budgets,
     ) -> Engine<'a> {
-        // Simplify online while generating: equalities (the dominant
-        // constraint shape — every flow/equate pair) collapse into
-        // union-find classes as they are emitted, so the solver's graph
-        // never grows the cycles in the first place. Rolls back in
-        // lockstep with `cs.truncate` on per-function failure.
-        let mut cs = ConstraintSet::new();
-        cs.enable_online_collapse();
         Engine {
             sema,
             space: space.clone(),
             rules: ActiveRules::compile(space),
             arena: QcArena::new(),
             supply: VarSupply::new(),
-            cs,
+            cs: ConstraintSet::new(),
             structs: StructTable::new(),
             globals: HashMap::new(),
             sigs: HashMap::new(),

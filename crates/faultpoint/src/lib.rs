@@ -538,30 +538,6 @@ pub fn hit(point: &str) -> Option<FaultKind> {
     decision
 }
 
-/// Convenience: turns an armed `Io`/`ShortWrite` fault at `point` into
-/// a synthetic I/O error; serves `Delay` in place; a `Panic` fault
-/// panics with a recognizable message; `Garbage` is ignored (byte-level
-/// corruption needs the caller's buffer — use [`garble`]).
-///
-/// # Errors
-///
-/// The injected error, tagged with the point name.
-///
-/// # Panics
-///
-/// When the installed plan arms a `Panic` fault here — that is the
-/// fault being simulated; the worker supervisor is expected to contain
-/// it.
-pub fn maybe_io(point: &str) -> std::io::Result<()> {
-    match hit(point) {
-        Some(FaultKind::Io | FaultKind::ShortWrite) => Err(std::io::Error::other(
-            format!("injected fault at {point}"),
-        )),
-        Some(FaultKind::Panic) => panic!("injected panic at {point}"),
-        _ => Ok(()),
-    }
-}
-
 /// Convenience: panics if a `Panic` fault is armed at `point`; serves
 /// delays; ignores other kinds (they are for I/O-shaped call sites).
 ///
@@ -571,25 +547,6 @@ pub fn maybe_io(point: &str) -> std::io::Result<()> {
 pub fn maybe_panic(point: &str) {
     if hit(point) == Some(FaultKind::Panic) {
         panic!("injected panic at {point}");
-    }
-}
-
-/// Convenience: when a `Garbage` fault is armed at `point`, corrupts
-/// `bytes` in place (deterministically) and returns `true`. Other
-/// kinds are ignored here.
-pub fn garble(point: &str, bytes: &mut [u8]) -> bool {
-    if hit(point) == Some(FaultKind::Garbage) {
-        let len = bytes.len();
-        for (i, b) in bytes.iter_mut().enumerate() {
-            // Flip a deterministic sprinkle of bytes, dense enough that
-            // any checksum or decoder must notice.
-            if splitmix(i as u64 ^ len as u64).is_multiple_of(7) {
-                *b ^= 0x5a;
-            }
-        }
-        !bytes.is_empty()
-    } else {
-        false
     }
 }
 
@@ -791,29 +748,6 @@ mod tests {
         assert!(a.len() < 150, "rate 300/1000 is not 'always'");
         let c = run(43);
         assert_ne!(a, c, "different seeds diverge");
-    }
-
-    #[test]
-    fn garble_corrupts_deterministically() {
-        let _g = test_lock();
-        install(FaultPlan::parse("wire@1=garbage;wire@2=garbage").unwrap());
-        let mut a = vec![7u8; 64];
-        let mut b = vec![7u8; 64];
-        assert!(garble("wire", &mut a));
-        assert!(garble("wire", &mut b));
-        assert_eq!(a, b, "corruption is reproducible");
-        assert_ne!(a, vec![7u8; 64], "corruption corrupted something");
-        clear();
-    }
-
-    #[test]
-    fn maybe_io_maps_kinds() {
-        let _g = test_lock();
-        install(FaultPlan::parse("p@1=io").unwrap());
-        let e = maybe_io("p").unwrap_err();
-        assert!(e.to_string().contains("injected fault at p"));
-        assert!(maybe_io("p").is_ok());
-        clear();
     }
 
     #[test]

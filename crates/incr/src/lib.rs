@@ -749,10 +749,6 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
     let merge_span = qual_obs::span("merge");
     let mut supply = VarSupply::new();
     let mut cs = ConstraintSet::new();
-    // Collapse equalities online while splicing, exactly as the serial
-    // engine does while generating: the merged solve then starts from
-    // pre-contracted classes instead of rediscovering every cycle.
-    cs.enable_online_collapse();
     let mut anchors: HashMap<CanonVar, QVar> = HashMap::new();
     let mut positions_raw: Vec<(String, Option<usize>, usize, bool, Qual)> =
         Vec::new();

@@ -35,6 +35,8 @@
 //!
 //! Kinds 1, 2, 4, 5 and 6 belonged to a retired multi-process driver
 //! and decode as [`ProtoError::Malformed`], like any unknown kind.
+//! Flags are one byte, 0 or 1, and position class tags are 0–2; any
+//! other byte is malformed too, even under a valid checksum.
 //!
 //! Fault points (`qual-faultpoint`): `proto.read`, `proto.write` —
 //! `io` fails the operation, `garbage` corrupts the payload in flight
@@ -154,7 +156,11 @@ impl<'a> Take<'a> {
     }
 
     fn bool(&mut self) -> Result<bool, ProtoError> {
-        Ok(self.slice(1)?[0] != 0)
+        match self.slice(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(ProtoError::Malformed(format!("bad bool byte {b}"))),
+        }
     }
 
     fn bytes(&mut self) -> Result<&'a [u8], ProtoError> {
@@ -349,6 +355,14 @@ fn take_mode(t: &mut Take<'_>) -> Result<Mode, ProtoError> {
     }
 }
 
+/// A position class tag: 0 must-const, 1 must-not-const, 2 either.
+fn take_class(t: &mut Take<'_>) -> Result<u8, ProtoError> {
+    match t.slice(1)?[0] {
+        c @ 0..=2 => Ok(c),
+        c => Err(ProtoError::Malformed(format!("bad position class tag {c}"))),
+    }
+}
+
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(n) => {
@@ -537,7 +551,7 @@ fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
                     param: take_param(&mut t)?,
                     level: t.u32()?,
                     declared: t.bool()?,
-                    class: t.slice(1)?[0],
+                    class: take_class(&mut t)?,
                 });
             }
             let mut lists = [Vec::new(), Vec::new()];
@@ -566,7 +580,7 @@ fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
         }
         KIND_QUAL_REPLY => Frame::QualReply {
             found: t.bool()?,
-            class: t.slice(1)?[0],
+            class: take_class(&mut t)?,
             declared: t.bool()?,
             label: t.str()?,
         },
@@ -916,6 +930,38 @@ mod tests {
         }
     }
 
+    /// Writes `payload` as a `kind` frame under a valid checksum, so
+    /// only the payload decoder stands between it and the reader.
+    fn forge(kind: u32, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_raw(&mut buf, kind, frame_checksum(kind, payload), payload).unwrap();
+        buf
+    }
+
+    #[test]
+    fn non_canonical_tags_are_rejected() {
+        // A position class tag outside 0..=2.
+        let mut report = sample_report();
+        report.positions[0].class = 3;
+        let (kind, payload) = encode_payload(&Frame::Report(Box::new(report)));
+        match read_frame(&mut forge(kind, &payload).as_slice()) {
+            Err(ProtoError::Malformed(m)) => assert!(m.contains("class tag 3"), "{m}"),
+            other => panic!("class 3 must be rejected: {other:?}"),
+        }
+        // A bool byte other than 0 or 1 (`found` leads the payload).
+        let (kind, mut payload) = encode_payload(&Frame::QualReply {
+            found: true,
+            class: 1,
+            declared: false,
+            label: String::new(),
+        });
+        payload[0] = 2;
+        match read_frame(&mut forge(kind, &payload).as_slice()) {
+            Err(ProtoError::Malformed(m)) => assert!(m.contains("bool byte 2"), "{m}"),
+            other => panic!("found = 2 must be rejected: {other:?}"),
+        }
+    }
+
     #[test]
     fn report_element_counts_are_bounded_by_payload_size() {
         // A forged Report claiming 2^40 positions must be rejected by
@@ -925,10 +971,7 @@ mod tests {
         put_bool(&mut payload, false); // verify
         put_bool(&mut payload, false); // counts absent
         put_u64(&mut payload, 1 << 40); // position count: absurd
-        let checksum = frame_checksum(KIND_REPORT, &payload);
-        let mut buf = Vec::new();
-        write_raw(&mut buf, KIND_REPORT, checksum, &payload).unwrap();
-        match read_frame(&mut buf.as_slice()) {
+        match read_frame(&mut forge(KIND_REPORT, &payload).as_slice()) {
             Err(ProtoError::Malformed(m)) => {
                 assert!(m.contains("element count"), "{m}");
             }

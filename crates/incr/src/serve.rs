@@ -1436,7 +1436,7 @@ pub fn request_stats(conn: &Connect) -> Result<Vec<(String, u64)>, ClientError> 
 pub struct QualAnswer {
     /// Whether the resident analysis knows this position.
     pub found: bool,
-    /// Its class (Either when not found or the tag is unknown).
+    /// Its class (Either when not found).
     pub class: PositionClass,
     /// Whether the source declared the qualifier.
     pub declared: bool,

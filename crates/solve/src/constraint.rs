@@ -6,7 +6,6 @@ use std::fmt;
 use qual_lattice::QualSpace;
 
 use crate::error::{SolveError, SolveFailure};
-use crate::simplify::Collapser;
 use crate::solver::{self, Solution};
 use crate::term::{Provenance, QVar, Qual, VarSupply};
 
@@ -46,10 +45,6 @@ impl Constraint {
 #[derive(Debug, Default, Clone)]
 pub struct ConstraintSet {
     constraints: Vec<Constraint>,
-    /// Online cycle collapse, when enabled: observes every constraint
-    /// as it is added and maintains full-mask equivalence classes that
-    /// seed the dense solver (see [`Collapser`]).
-    collapse: Option<Collapser>,
 }
 
 impl ConstraintSet {
@@ -59,34 +54,6 @@ impl ConstraintSet {
         ConstraintSet::default()
     }
 
-    /// Turns on online simplification: from now on (and retroactively
-    /// for constraints already present) every added constraint feeds a
-    /// [`Collapser`], whose equivalence classes pre-contract the solver's
-    /// constraint graph. Purely an accelerator — solutions, violations
-    /// and diagnostics are unchanged.
-    pub fn enable_online_collapse(&mut self) {
-        let mut col = Collapser::new();
-        for (idx, c) in self.constraints.iter().enumerate() {
-            col.observe(idx, c);
-        }
-        self.collapse = Some(col);
-    }
-
-    /// The online collapse classes, if enabled.
-    #[must_use]
-    pub fn collapser(&self) -> Option<&Collapser> {
-        self.collapse.as_ref()
-    }
-
-    /// The single append point: every mutation path funnels through
-    /// here so the online collapser misses nothing.
-    fn push(&mut self, c: Constraint) {
-        if let Some(col) = &mut self.collapse {
-            col.observe(self.constraints.len(), &c);
-        }
-        self.constraints.push(c);
-    }
-
     /// Adds `lhs ⊑ rhs` with no source location.
     pub fn add(&mut self, lhs: impl Into<Qual>, rhs: impl Into<Qual>) {
         self.add_with(lhs, rhs, Provenance::synthetic("constraint"));
@@ -94,7 +61,7 @@ impl ConstraintSet {
 
     /// Adds `lhs ⊑ rhs` recording where it came from.
     pub fn add_with(&mut self, lhs: impl Into<Qual>, rhs: impl Into<Qual>, origin: Provenance) {
-        self.push(Constraint {
+        self.constraints.push(Constraint {
             lhs: lhs.into(),
             rhs: rhs.into(),
             mask: u64::MAX,
@@ -112,7 +79,7 @@ impl ConstraintSet {
         origin: Provenance,
     ) {
         let mask = ids.iter().fold(0u64, |m, id| m | (1u64 << id.index()));
-        self.push(Constraint {
+        self.constraints.push(Constraint {
             lhs: lhs.into(),
             rhs: rhs.into(),
             mask,
@@ -130,9 +97,7 @@ impl ConstraintSet {
 
     /// Appends every constraint of `other` (the `C₁ ∪ C₂` production).
     pub fn extend_from(&mut self, other: &ConstraintSet) {
-        for c in &other.constraints {
-            self.push(*c);
-        }
+        self.constraints.extend_from_slice(&other.constraints);
     }
 
     /// The constraints, in insertion order.
@@ -162,7 +127,7 @@ impl ConstraintSet {
     ///
     /// Returns [`SolveError`] listing every unsatisfiable constraint.
     pub fn solve(&self, space: &QualSpace, vars: &VarSupply) -> Result<Solution, SolveError> {
-        solver::solve(space, vars.count(), &self.constraints, self.collapse.as_ref())
+        solver::solve(space, vars.count(), &self.constraints)
     }
 
     /// Like [`ConstraintSet::solve`] but gives up with
@@ -180,13 +145,7 @@ impl ConstraintSet {
         vars: &VarSupply,
         max_steps: u64,
     ) -> Result<Solution, SolveFailure> {
-        solver::solve_budgeted(
-            space,
-            vars.count(),
-            &self.constraints,
-            max_steps,
-            self.collapse.as_ref(),
-        )
+        solver::solve_budgeted(space, vars.count(), &self.constraints, max_steps)
     }
 
     /// Solves on the retained reference path (the original sparse
@@ -208,13 +167,9 @@ impl ConstraintSet {
 
     /// Drops every constraint after the first `len` — the rollback half
     /// of a mark/rollback pair, used to discard constraints emitted by
-    /// an analysis that failed partway. The online collapser (when
-    /// enabled) rolls back in lockstep.
+    /// an analysis that failed partway.
     pub fn truncate(&mut self, len: usize) {
         self.constraints.truncate(len);
-        if let Some(col) = &mut self.collapse {
-            col.rollback(len);
-        }
     }
 
     /// Like [`ConstraintSet::solve`] but sized by an explicit variable
@@ -228,7 +183,7 @@ impl ConstraintSet {
         space: &QualSpace,
         var_count: usize,
     ) -> Result<Solution, SolveError> {
-        solver::solve(space, var_count, &self.constraints, self.collapse.as_ref())
+        solver::solve(space, var_count, &self.constraints)
     }
 
     /// Variables mentioned anywhere in the set, deduplicated, in first-use
@@ -269,9 +224,7 @@ impl fmt::Display for ConstraintSet {
 
 impl Extend<Constraint> for ConstraintSet {
     fn extend<T: IntoIterator<Item = Constraint>>(&mut self, iter: T) {
-        for c in iter {
-            self.push(c);
-        }
+        self.constraints.extend(iter);
     }
 }
 
@@ -279,7 +232,6 @@ impl FromIterator<Constraint> for ConstraintSet {
     fn from_iter<T: IntoIterator<Item = Constraint>>(iter: T) -> ConstraintSet {
         ConstraintSet {
             constraints: iter.into_iter().collect(),
-            collapse: None,
         }
     }
 }

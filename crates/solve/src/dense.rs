@@ -14,11 +14,12 @@
 //!   variable instead of a hash set or a cleared bool vector; the least
 //!   pass tags with 1, the greatest pass with 2, so nothing is ever
 //!   reset between passes.
-//! * **Cycle collapse** — full-mask strongly connected components are
-//!   contracted through a union-find before propagation (seeded by the
-//!   online [`crate::simplify::Collapser`], completed by an iterative
-//!   Tarjan pass). Every member of a full-mask cycle provably shares one
-//!   least and one greatest value, so contraction is exact.
+//! * **Cycle collapse** — one iterative Tarjan pass over the full-mask
+//!   subgraph maps every member of a strongly connected component to a
+//!   single representative before propagation. Every member of a
+//!   full-mask cycle provably shares one least and one greatest value,
+//!   so contraction is exact, and the pass is linear in the number of
+//!   constraints (the Henglein–Rehof bound the paper cites in §3.1).
 //! * **Chain coalescing** — a representative whose *only* lower bound is
 //!   one full-mask in-edge is an alias of its predecessor in the least
 //!   solution (dually for single full-mask out-edges and the greatest
@@ -40,7 +41,6 @@ use qual_lattice::{QualSet, QualSpace};
 
 use crate::constraint::Constraint;
 use crate::error::{SolveFailure, Violation};
-use crate::simplify::Collapser;
 use crate::solver::Solution;
 use crate::term::Qual;
 
@@ -167,22 +167,12 @@ fn rows(
     (off, tgt)
 }
 
-/// Union-find lookup with path halving (safe here: this union-find is
-/// solve-local and never rolled back).
-#[inline]
-fn find(parent: &mut [u32], mut v: u32) -> u32 {
-    while parent[v as usize] != v {
-        let gp = parent[parent[v as usize] as usize];
-        parent[v as usize] = gp;
-        v = gp;
-    }
-    v
-}
-
-/// Iterative Tarjan over the full-mask subgraph (endpoints already
-/// contracted through `parent`); unions every non-trivial SCC. Returns
-/// the number of variables newly folded into a representative.
-fn collapse_sccs(n: usize, edges: &[(u32, u32)], parent: &mut [u32]) -> usize {
+/// Iterative Tarjan over the full-mask subgraph. Points every member of
+/// a non-trivial SCC directly at the component's root in `root_of`
+/// (which must start as the identity), so afterwards `root_of[v]` is
+/// `v`'s representative. Returns the number of variables folded into a
+/// representative.
+fn collapse_sccs(n: usize, edges: &[(u32, u32)], root_of: &mut [u32]) -> usize {
     if edges.is_empty() {
         return 0;
     }
@@ -226,12 +216,12 @@ fn collapse_sccs(n: usize, edges: &[(u32, u32)], parent: &mut [u32]) -> usize {
                     lowlink[p as usize] = lowlink[p as usize].min(lowlink[v as usize]);
                 }
                 if lowlink[v as usize] == index[v as usize] {
-                    // Pop the component; union everything into `v`.
+                    // Pop the component; point every member at `v`.
                     while let Some(&w) = stack.last() {
                         stack.pop();
                         on_stack[w as usize] = false;
                         if w != v {
-                            parent[w as usize] = v;
+                            root_of[w as usize] = v;
                             merged += 1;
                         }
                         if w == v {
@@ -339,7 +329,6 @@ pub(crate) fn solve_budgeted(
     var_count: usize,
     constraints: &[Constraint],
     max_steps: u64,
-    pre: Option<&Collapser>,
 ) -> Result<Solution, SolveFailure> {
     let _span = qual_obs::span("solve-propagate");
     qual_obs::peak("solve.vars", var_count as u64);
@@ -385,27 +374,9 @@ pub(crate) fn solve_budgeted(
         }
     }
 
-    // ---- cycle collapse: online classes + solve-time SCC pass -------
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    if let Some(col) = pre {
-        for v in 0..n as u32 {
-            parent[v as usize] = col.class_of(v);
-        }
-    }
-    let mut contracted: Vec<(u32, u32)> = Vec::with_capacity(full_edges.len());
-    for &(v, w) in &full_edges {
-        let (a, b) = (find(&mut parent, v), find(&mut parent, w));
-        if a != b {
-            contracted.push((a, b));
-        }
-    }
-    collapse_sccs(n, &contracted, &mut parent);
-    let root_of: Vec<u32> = (0..n as u32).map(|v| find(&mut parent, v)).collect();
-    let collapsed = root_of
-        .iter()
-        .enumerate()
-        .filter(|&(i, &r)| r != i as u32)
-        .count();
+    // ---- cycle collapse: one Tarjan pass over full-mask edges -------
+    let mut root_of: Vec<u32> = (0..n as u32).collect();
+    let collapsed = collapse_sccs(n, &full_edges, &mut root_of);
     qual_obs::count("solve.collapsed", collapsed as u64);
     for _ in 0..collapsed {
         if let Err(stop) = meter.step() {

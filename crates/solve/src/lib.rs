@@ -63,7 +63,7 @@ pub use diag::{sort_diagnostics, Diagnostic, Phase, Severity};
 pub use error::{SolveError, SolveFailure, Violation};
 pub use explain::{explain, Explanation};
 pub use scheme::Scheme;
-pub use simplify::{compact, Collapser, Compacted};
+pub use simplify::{compact, Compacted};
 pub use solver::Solution;
 pub use term::{Provenance, QVar, Qual, VarSupply};
 pub use verify::{verify_explanation, verify_solution, Assignment, CertificateError};

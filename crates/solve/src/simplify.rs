@@ -15,142 +15,15 @@
 //! Elimination can blow up quadratically per variable, so variables whose
 //! in×out degree product exceeds a budget are kept (soundness never
 //! depends on eliminating anything).
+//!
+//! Compaction serves scheme presentation and instantiation. Solving
+//! shrinks its graph separately: the dense solver contracts every
+//! full-mask cycle with one Tarjan pass at solve time (see `dense.rs`).
 
 use std::collections::HashSet;
 
 use crate::constraint::Constraint;
 use crate::term::{QVar, Qual};
-
-/// Online cycle collapse over the full-mask subgraph, fed one constraint
-/// at a time *during generation* (the HR97-style "simplify while you
-/// build" discipline).
-///
-/// The collapser watches for textual two-cycles — `v ⊑ w` followed by
-/// `w ⊑ v`, both with the full mask, which is exactly what
-/// [`crate::ConstraintSet::add_eq`] emits — and unions the endpoints in
-/// an incremental union-find. The dense solver seeds its own union-find
-/// from these classes, so equalities discovered at generation time never
-/// reach the propagation loop as edges. Longer cycles (and masked cycles
-/// that happen to cover the whole space) are still found by the solver's
-/// SCC pass; the online collapser is a fast path, never a soundness
-/// dependency.
-///
-/// Collapsing a full-mask cycle is *exact*: every member of the cycle is
-/// forced to the same value in both the least and the greatest solution,
-/// so solving the quotient graph and copying the representative's value
-/// back to each member reproduces the original solution bit for bit.
-///
-/// Generation is transactional — engines roll failed work back with
-/// [`crate::ConstraintSet::truncate`] — so every observation is logged
-/// against its constraint index and [`Collapser::rollback`] undoes
-/// unions and edge records past the mark. To keep undo exact, the
-/// union-find unions by rank and never path-compresses.
-#[derive(Debug, Clone, Default)]
-pub struct Collapser {
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    /// Full-mask var→var edges currently in the set.
-    edges: HashSet<(u32, u32)>,
-    /// Edge insertions in constraint order: `(constraint index, v, w)`.
-    edge_log: Vec<(usize, u32, u32)>,
-    /// Unions in constraint order:
-    /// `(constraint index, child root, parent root, rank bumped)`.
-    union_log: Vec<(usize, u32, u32, bool)>,
-}
-
-impl Collapser {
-    /// An empty collapser.
-    #[must_use]
-    pub fn new() -> Collapser {
-        Collapser::default()
-    }
-
-    fn ensure(&mut self, v: u32) {
-        let need = v as usize + 1;
-        if self.parent.len() < need {
-            let from = self.parent.len() as u32;
-            self.parent.extend(from..need as u32);
-            self.rank.resize(need, 0);
-        }
-    }
-
-    /// The representative of `v`'s equivalence class (itself if never
-    /// merged). Read-only: no path compression, so rollback stays exact.
-    #[must_use]
-    pub fn class_of(&self, v: u32) -> u32 {
-        let mut v = v;
-        while (v as usize) < self.parent.len() && self.parent[v as usize] != v {
-            v = self.parent[v as usize];
-        }
-        v
-    }
-
-    /// Number of variables folded into another representative.
-    #[must_use]
-    pub fn merged(&self) -> usize {
-        self.union_log.len()
-    }
-
-    /// Feeds the constraint at index `idx`. Only full-mask var→var
-    /// constraints are interesting; everything else is ignored.
-    pub fn observe(&mut self, idx: usize, c: &Constraint) {
-        let (Qual::Var(v), Qual::Var(w)) = (c.lhs, c.rhs) else {
-            return;
-        };
-        if c.mask != u64::MAX || v == w {
-            return;
-        }
-        let (v, w) = (v.index() as u32, w.index() as u32);
-        self.ensure(v.max(w));
-        if self.edges.contains(&(w, v)) {
-            self.union(idx, v, w);
-        }
-        if self.edges.insert((v, w)) {
-            self.edge_log.push((idx, v, w));
-        }
-    }
-
-    fn union(&mut self, idx: usize, v: u32, w: u32) {
-        let (a, b) = (self.class_of(v), self.class_of(w));
-        if a == b {
-            return;
-        }
-        // Union by rank; the lower-rank root becomes the child. Ties
-        // attach `b` under `a` and bump `a`'s rank (logged for undo).
-        let (child, root, bumped) = match self.rank[a as usize].cmp(&self.rank[b as usize]) {
-            std::cmp::Ordering::Less => (a, b, false),
-            std::cmp::Ordering::Greater => (b, a, false),
-            std::cmp::Ordering::Equal => {
-                self.rank[a as usize] += 1;
-                (b, a, true)
-            }
-        };
-        self.parent[child as usize] = root;
-        self.union_log.push((idx, child, root, bumped));
-    }
-
-    /// Undoes every observation made at constraint index `len` or later,
-    /// mirroring [`crate::ConstraintSet::truncate`]`(len)`.
-    pub fn rollback(&mut self, len: usize) {
-        while let Some(&(idx, child, root, bumped)) = self.union_log.last() {
-            if idx < len {
-                break;
-            }
-            self.parent[child as usize] = child;
-            if bumped {
-                self.rank[root as usize] -= 1;
-            }
-            self.union_log.pop();
-        }
-        while let Some(&(idx, v, w)) = self.edge_log.last() {
-            if idx < len {
-                break;
-            }
-            self.edges.remove(&(v, w));
-            self.edge_log.pop();
-        }
-    }
-}
 
 /// The result of compaction.
 #[derive(Debug)]

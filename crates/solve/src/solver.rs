@@ -9,7 +9,6 @@ use qual_lattice::{QualSet, QualSpace};
 
 use crate::constraint::Constraint;
 use crate::error::{SolveError, SolveFailure, Violation};
-use crate::simplify::Collapser;
 use crate::term::{QVar, Qual};
 
 /// The result of solving a satisfiable constraint set.
@@ -95,15 +94,13 @@ impl Solution {
 }
 
 /// Solves `constraints` over `space` for `var_count` variables on the
-/// dense hot path (see [`crate::dense`]). `pre` carries equivalence
-/// classes discovered online during constraint generation.
+/// dense hot path (see [`crate::dense`]).
 pub(crate) fn solve(
     space: &QualSpace,
     var_count: usize,
     constraints: &[Constraint],
-    pre: Option<&Collapser>,
 ) -> Result<Solution, SolveError> {
-    match solve_budgeted(space, var_count, constraints, u64::MAX, pre) {
+    match solve_budgeted(space, var_count, constraints, u64::MAX) {
         Ok(s) => Ok(s),
         Err(SolveFailure::Unsat(e)) => Err(e),
         Err(SolveFailure::BudgetExceeded { .. }) => {
@@ -124,9 +121,8 @@ pub(crate) fn solve_budgeted(
     var_count: usize,
     constraints: &[Constraint],
     max_steps: u64,
-    pre: Option<&Collapser>,
 ) -> Result<Solution, SolveFailure> {
-    crate::dense::solve_budgeted(space, var_count, constraints, max_steps, pre)
+    crate::dense::solve_budgeted(space, var_count, constraints, max_steps)
 }
 
 /// The retained reference solver: the original sparse worklist pass,

@@ -18,12 +18,13 @@
 //!   C program is dumped to `QUAL_DENSE_CORPUS_DIR` (if set) so CI can
 //!   upload it as an artifact.
 //! * **Part B** — coalescing-directed generators aimed at the dense
-//!   solver's simplification machinery: long cycles (online collapse +
-//!   solve-time Tarjan), diamond chains (single-predecessor coalescing
-//!   must *not* fire at joins), self-loops (inert), masked cycles whose
-//!   mask equals the space top without being `u64::MAX` (invisible to
-//!   the online collapser, caught by Tarjan), and random systems with
-//!   online collapse toggled both ways.
+//!   solver's simplification machinery: long cycles and equality chains
+//!   (contracted by the solve-time Tarjan pass, pinned by the
+//!   `solve.collapsed` counter), diamond chains (single-predecessor
+//!   coalescing must *not* fire at joins), self-loops (inert), masked
+//!   cycles whose mask equals the space top without being `u64::MAX`
+//!   (still full-mask to the solver, so Tarjan collapses them), and
+//!   random systems.
 
 use std::fmt::Write as _;
 
@@ -157,8 +158,8 @@ fn check_program(src: &str, quals: &str, mode: qual_constinfer::Mode) -> Result<
         .map_err(|e| format!("analysis rejected generated program: {e:?}"))?;
     let a = &r.analysis;
 
-    // The engine solved with the dense path (online collapse enabled at
-    // generation time). Re-solve the same set on the reference path.
+    // The engine solved with the dense path. Re-solve the same set on
+    // the reference path.
     let reference = a
         .constraints
         .solve_with_budget_reference(&a.space, &a.supply, u64::MAX);
@@ -262,51 +263,47 @@ fn konst(bits: u64) -> Qual {
     Qual::Const(QualSet::from_bits(bits))
 }
 
-/// Long full-mask cycles with a seed flowing in: the online collapser
-/// sees the 2-cycles, Tarjan the rest, and both ends of the cycle must
-/// land on the same value as the reference fixpoint.
+/// Long full-mask cycles with a seed flowing in: Tarjan contracts the
+/// cycle, and both ends of it must land on the same value as the
+/// reference fixpoint.
 #[test]
 fn long_cycles_collapse_exactly() {
     let space = small_space();
     for len in 2..50 {
-        for online in [false, true] {
-            let vars = supply(len + 1);
-            let mut cs = ConstraintSet::new();
-            if online {
-                cs.enable_online_collapse();
-            }
-            // v0 -> v1 -> ... -> v_{len-1} -> v0, seeded at v0 and
-            // drained into a fresh tail var so expansion is exercised.
-            for i in 0..len {
-                cs.add(var(i), var((i + 1) % len));
-            }
-            cs.add(konst(0b01), var(0));
-            cs.add(var(len / 2), var(len));
-            diff_paths(&space, &vars, &cs)
-                .unwrap_or_else(|e| panic!("cycle len {len}, online={online}: {e}"));
+        let vars = supply(len + 1);
+        let mut cs = ConstraintSet::new();
+        // v0 -> v1 -> ... -> v_{len-1} -> v0, seeded at v0 and drained
+        // into a fresh tail var so expansion is exercised.
+        for i in 0..len {
+            cs.add(var(i), var((i + 1) % len));
         }
+        cs.add(konst(0b01), var(0));
+        cs.add(var(len / 2), var(len));
+        diff_paths(&space, &vars, &cs).unwrap_or_else(|e| panic!("cycle len {len}: {e}"));
     }
 }
 
-/// Every pair in the cycle also asserted as an explicit equality, so
-/// the online collapser unions eagerly during generation.
+/// Every adjacent pair of a chain asserted as an explicit equality (the
+/// shape `add_eq` emits): the whole chain is one SCC, so all but one
+/// variable fold into its representative.
 #[test]
 fn dense_equality_cycles_collapse_online() {
     let space = small_space();
     for len in 2..20 {
         let vars = supply(len);
         let mut cs = ConstraintSet::new();
-        cs.enable_online_collapse();
         for i in 0..len - 1 {
             cs.add(var(i), var(i + 1));
             cs.add(var(i + 1), var(i));
         }
         cs.add(konst(0b100), var(len - 1));
-        assert!(
-            cs.collapser().is_some_and(|c| c.merged() > 0) || len < 2,
-            "online collapser never fired on an equality chain of {len}"
+        let (diff, report) = qual_obs::scoped(|| diff_paths(&space, &vars, &cs));
+        diff.unwrap_or_else(|e| panic!("eq cycle len {len}: {e}"));
+        assert_eq!(
+            report.counter("solve.collapsed"),
+            len as u64 - 1,
+            "equality chain of {len} must collapse to one class"
         );
-        diff_paths(&space, &vars, &cs).unwrap_or_else(|e| panic!("eq cycle len {len}: {e}"));
     }
 }
 
@@ -358,27 +355,22 @@ fn straight_chains_coalesce_exactly() {
 fn self_loops_are_inert() {
     let space = small_space();
     let vars = supply(3);
-    for online in [false, true] {
-        let mut cs = ConstraintSet::new();
-        if online {
-            cs.enable_online_collapse();
-        }
-        cs.add(var(0), var(0));
-        cs.add_masked(
-            var(1),
-            var(1),
-            &[space.iter().next().unwrap().0],
-            qual_solve::Provenance::synthetic("self-loop"),
-        );
-        cs.add(konst(0b001), var(0));
-        cs.add(var(1), var(2));
-        diff_paths(&space, &vars, &cs).unwrap_or_else(|e| panic!("online={online}: {e}"));
-    }
+    let mut cs = ConstraintSet::new();
+    cs.add(var(0), var(0));
+    cs.add_masked(
+        var(1),
+        var(1),
+        &[space.iter().next().unwrap().0],
+        qual_solve::Provenance::synthetic("self-loop"),
+    );
+    cs.add(konst(0b001), var(0));
+    cs.add(var(1), var(2));
+    diff_paths(&space, &vars, &cs).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// A cycle whose edges carry `mask == top` but not `u64::MAX`: the
-/// online collapser (which only trusts literal full masks) must leave
-/// it alone, and the solve-time Tarjan pass must still collapse it.
+/// solver classifies edges by their mask within the space, so the
+/// Tarjan pass must still collapse it.
 #[test]
 fn masked_top_cycles_collapse_at_solve_time() {
     let space = small_space();
@@ -386,7 +378,6 @@ fn masked_top_cycles_collapse_at_solve_time() {
     for len in 2..16 {
         let vars = supply(len);
         let mut cs = ConstraintSet::new();
-        cs.enable_online_collapse();
         for i in 0..len {
             cs.add_masked(
                 var(i),
@@ -396,12 +387,13 @@ fn masked_top_cycles_collapse_at_solve_time() {
             );
         }
         cs.add(konst(0b001), var(0));
+        let (diff, report) = qual_obs::scoped(|| diff_paths(&space, &vars, &cs));
+        diff.unwrap_or_else(|e| panic!("masked cycle len {len}: {e}"));
         assert_eq!(
-            cs.collapser().map(qual_solve::Collapser::merged),
-            Some(0),
-            "online collapser must not union masked edges"
+            report.counter("solve.collapsed"),
+            len as u64 - 1,
+            "a cycle masked with the whole space must collapse at solve time"
         );
-        diff_paths(&space, &vars, &cs).unwrap_or_else(|e| panic!("masked cycle len {len}: {e}"));
     }
 }
 
@@ -413,7 +405,6 @@ fn unsat_inside_a_cycle_reports_original_constraints() {
     let space = small_space();
     let vars = supply(4);
     let mut cs = ConstraintSet::new();
-    cs.enable_online_collapse();
     // 2-cycle v1 = v2, seeded with p0|p1, capped (through v3) at p0
     // only: unsat at the p1 coordinate.
     cs.add(var(1), var(2));
@@ -437,7 +428,7 @@ fn unsat_inside_a_cycle_reports_original_constraints() {
 }
 
 // ---------------------------------------------------------------------------
-// Part B (random): arbitrary small systems, online collapse both ways.
+// Part B (random): arbitrary small systems.
 // ---------------------------------------------------------------------------
 
 const NVARS: usize = 6;
@@ -456,41 +447,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random systems (cycles, unsat cores, masked edges all arise by
-    /// chance), with the online collapser toggled both ways: four-way
-    /// agreement between {dense, reference} × {collapsed, raw}.
+    /// chance): dense and reference agree, and both certify.
     #[test]
     fn random_systems_agree_under_collapse(
         raw in prop::collection::vec((0u8..14, 0u8..14), 0..24),
     ) {
         let space = small_space();
         let vars = supply(NVARS);
-        let mut plain = ConstraintSet::new();
-        let mut online = ConstraintSet::new();
-        online.enable_online_collapse();
+        let mut cs = ConstraintSet::new();
         for &(l, r) in &raw {
-            plain.add(decode(&space, l), decode(&space, r));
-            online.add(decode(&space, l), decode(&space, r));
+            cs.add(decode(&space, l), decode(&space, r));
         }
-        if let Err(e) = diff_paths(&space, &vars, &plain) {
-            prop_assert!(false, "raw set: {}", e);
-        }
-        if let Err(e) = diff_paths(&space, &vars, &online) {
-            prop_assert!(false, "online-collapsed set: {}", e);
-        }
-        // The two dense runs (with and without the pre-collapser) must
-        // also agree with each other.
-        let a = plain.solve_with_budget(&space, &vars, u64::MAX);
-        let b = online.solve_with_budget(&space, &vars, u64::MAX);
-        match (&a, &b) {
-            (Ok(x), Ok(y)) => {
-                for i in 0..NVARS {
-                    let v = QVar::from_index(i);
-                    prop_assert_eq!(x.least(v), y.least(v), "least at var {}", i);
-                    prop_assert_eq!(x.greatest(v), y.greatest(v), "greatest at var {}", i);
-                }
-            }
-            (Err(x), Err(y)) => prop_assert_eq!(x, y),
-            _ => prop_assert!(false, "collapse changed satisfiability: {:?} vs {:?}", a, b),
+        if let Err(e) = diff_paths(&space, &vars, &cs) {
+            prop_assert!(false, "{}", e);
         }
     }
 }
@@ -502,7 +471,9 @@ proptest! {
 /// The dense path must take ≥5× fewer `solve.steps` per constraint than
 /// the reference path on a large cgen profile. Steps are deterministic
 /// counts (edge relaxations plus simplification charges), so this is a
-/// stable gate, not a wall-clock assertion.
+/// stable gate, not a wall-clock assertion. The graph-shrinking counts
+/// on the same program are pinned exactly: any change to cycle collapse
+/// or chain coalescing that alters what gets contracted shows here.
 #[test]
 fn dense_takes_five_times_fewer_steps_on_large_profiles() {
     let profile = qual_cgen::bench_profiles()[5].scaled(4_000); // uucp composition
@@ -532,4 +503,6 @@ fn dense_takes_five_times_fewer_steps_on_large_profiles() {
          less than the required 5x reduction ({:.2}x)",
         ref_steps as f64 / dense_steps.max(1) as f64
     );
+    assert_eq!(dense_report.counter("solve.collapsed"), 217);
+    assert_eq!(dense_report.counter("solve.coalesced"), 3829);
 }

@@ -97,17 +97,16 @@ fn explanation_path_renders_stably() {
 }
 
 /// The coalesced-cycle fixture: two pointers aliased in a cycle (so the
-/// online collapser merges their qualifier variables into one class)
-/// with the const flowing through the class into a write. The rendered
-/// chain must cite the *original* constraints — real source spans, in
-/// program order — not the collapsed class representative.
+/// solver's cycle collapse merges their qualifier variables into one
+/// class) with the const flowing through the class into a write. The
+/// rendered chain must cite the *original* constraints — real source
+/// spans, in program order — not the collapsed class representative.
 #[test]
 fn explanation_path_through_coalesced_cycle_renders_stably() {
     let src = "void k(const char *s) {\n    char *t = s;\n    char *u = t;\n    t = u;\n    *u = 0;\n}\n";
     let space = QualSpace::figure2();
     let mut vs = VarSupply::new();
     let mut cs = qual_solve::ConstraintSet::new();
-    cs.enable_online_collapse();
     let konst = space.parse_set("const").unwrap();
     let nc = space.not_q(space.id("const").unwrap());
     let (a, b, c) = (vs.fresh(), vs.fresh(), vs.fresh());
@@ -122,15 +121,16 @@ fn explanation_path_through_coalesced_cycle_renders_stably() {
     cs.add_with(c, b, Provenance::at(back, back + 5, "assignment"));
     cs.add_with(c, nc, Provenance::at(store, store + 6, "assignment"));
 
-    // The t/u cycle really did coalesce online — the fixture is
-    // worthless if the collapsed path never runs.
+    let (solved, report) = qual_obs::scoped(|| cs.solve(&space, &vs));
+    // The t/u cycle really did collapse — the fixture is worthless if
+    // the collapsed path never runs.
     assert_eq!(
-        cs.collapser().map(qual_solve::Collapser::merged),
-        Some(1),
-        "the b/c alias cycle must merge during generation"
+        report.counter("solve.collapsed"),
+        1,
+        "the b/c alias cycle must merge at solve time"
     );
 
-    let err = cs.solve(&space, &vs).unwrap_err();
+    let err = solved.unwrap_err();
     let exps = explain(&space, cs.constraints(), &err);
     assert_eq!(exps.len(), 1, "exactly one violation expected");
     // Every step cites a real source span (no synthetic provenance from

@@ -1,9 +1,7 @@
-//! Property tests for the simplification machinery: compaction
-//! preserves the least and greatest solutions at every interface
-//! variable (per qualifier coordinate), the online cycle collapser is
-//! solution-preserving and rolls back in lockstep with `truncate`, and
-//! the independent verifier certifies both the original and the
-//! simplified system's solutions.
+//! Property tests for constraint compaction: it preserves the least and
+//! greatest solutions at every interface variable (per qualifier
+//! coordinate), and the independent verifier certifies both the
+//! original and the compacted system's solutions.
 
 use std::collections::HashSet;
 
@@ -110,111 +108,6 @@ proptest! {
             (b, a) => prop_assert!(false,
                 "satisfiability changed: before={} after={}",
                 b.is_ok(), a.is_ok()),
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Online cycle collapse is solution-preserving per coordinate: the
-    /// same random system solved with and without the pre-collapser
-    /// agrees at *every* variable on *every* qualifier coordinate, and
-    /// both solutions certify under the independent verifier.
-    #[test]
-    fn online_collapse_preserves_solutions_per_coordinate(
-        raw in prop::collection::vec((0u8..10, 0u8..10), 0..24),
-    ) {
-        let space = three_space();
-        let vs = mk_supply();
-        let decode = |c: u8| -> Qual {
-            if (c as usize) < NVARS {
-                Qual::Var(QVar::from_index(c as usize))
-            } else {
-                Qual::Const(QualSet::from_bits(u64::from(c) & space.top().bits()))
-            }
-        };
-        let mut plain = ConstraintSet::new();
-        let mut online = ConstraintSet::new();
-        online.enable_online_collapse();
-        for &(l, r) in &raw {
-            plain.add(decode(l), decode(r));
-            online.add(decode(l), decode(r));
-        }
-        match (plain.solve(&space, &vs), online.solve(&space, &vs)) {
-            (Ok(p), Ok(o)) => {
-                for i in 0..NVARS {
-                    let v = QVar::from_index(i);
-                    if let Err(e) = same_per_coordinate(&space, p.least(v), o.least(v)) {
-                        prop_assert!(false, "least at var {}: {}", i, e);
-                    }
-                    if let Err(e) = same_per_coordinate(&space, p.greatest(v), o.greatest(v)) {
-                        prop_assert!(false, "greatest at var {}: {}", i, e);
-                    }
-                }
-                prop_assert!(verify_solution(&space, plain.constraints(), &p).is_ok());
-                prop_assert!(verify_solution(&space, online.constraints(), &o).is_ok());
-            }
-            (Err(p), Err(o)) => prop_assert_eq!(p, o, "diagnostics diverge under collapse"),
-            (p, o) => prop_assert!(false,
-                "collapse changed satisfiability: plain={} online={}",
-                p.is_ok(), o.is_ok()),
-        }
-    }
-
-    /// `truncate` rolls the collapser back in lockstep: cutting a
-    /// collapsed set to a prefix behaves exactly like building only the
-    /// prefix from scratch.
-    #[test]
-    fn collapser_rollback_matches_fresh_prefix(
-        raw in prop::collection::vec((0u8..10, 0u8..10), 1..24),
-        cut_raw in 0usize..64,
-    ) {
-        let space = three_space();
-        let vs = mk_supply();
-        let decode = |c: u8| -> Qual {
-            if (c as usize) < NVARS {
-                Qual::Var(QVar::from_index(c as usize))
-            } else {
-                Qual::Const(QualSet::from_bits(u64::from(c) & space.top().bits()))
-            }
-        };
-        let cut = cut_raw % (raw.len() * 2 + 1);
-
-        let mut whole = ConstraintSet::new();
-        whole.enable_online_collapse();
-        for &(l, r) in &raw {
-            // Equalities, so the collapser actually has cycles to merge.
-            whole.add(decode(l), decode(r));
-            whole.add(decode(r), decode(l));
-        }
-        whole.truncate(cut);
-
-        let mut prefix = ConstraintSet::new();
-        prefix.enable_online_collapse();
-        for c in whole.constraints() {
-            prefix.extend([*c]);
-        }
-        prop_assert_eq!(whole.constraints().len(), cut.min(raw.len() * 2));
-        prop_assert_eq!(
-            whole.collapser().map(qual_solve::Collapser::merged),
-            prefix.collapser().map(qual_solve::Collapser::merged),
-            "rollback left a different merge count than a fresh build"
-        );
-        // And the rolled-back set still solves identically to the fresh
-        // prefix on both solver paths.
-        match (whole.solve(&space, &vs), prefix.solve(&space, &vs)) {
-            (Ok(w), Ok(p)) => {
-                for i in 0..NVARS {
-                    let v = QVar::from_index(i);
-                    prop_assert_eq!(w.least(v), p.least(v), "least at var {}", i);
-                    prop_assert_eq!(w.greatest(v), p.greatest(v), "greatest at var {}", i);
-                }
-            }
-            (Err(w), Err(p)) => prop_assert_eq!(w, p),
-            (w, p) => prop_assert!(false,
-                "rollback changed satisfiability: whole={} prefix={}",
-                w.is_ok(), p.is_ok()),
         }
     }
 }
