@@ -5,7 +5,7 @@
 //! fails to analyze or certify prints its diagnostics and is skipped
 //! while the remaining bars render.
 
-use qual_bench::{bar, measure_certified};
+use qual_bench::measure_certified;
 use qual_cgen::table1_profiles;
 
 fn main() {
@@ -45,5 +45,4 @@ fn main() {
     if failed > 0 {
         eprintln!("figure6: {failed} benchmark(s) produced no certified bar");
     }
-    let _ = bar(0.0, 0); // keep the shared helper linked
 }

@@ -408,17 +408,6 @@ pub fn compare_bench_docs(
     drifts
 }
 
-/// Renders a simple ASCII horizontal bar of `pct` percent, `width` chars.
-#[must_use]
-pub fn bar(pct: f64, width: usize) -> String {
-    let filled = ((pct / 100.0) * width as f64).round() as usize;
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < filled { '#' } else { '.' });
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,12 +433,5 @@ mod tests {
         let m = measure_certified(&p, 1);
         assert!(m.row.is_some(), "diagnostics: {:?}", m.skipped);
         assert!(m.skipped.is_empty(), "diagnostics: {:?}", m.skipped);
-    }
-
-    #[test]
-    fn bar_renders() {
-        assert_eq!(bar(50.0, 10), "#####.....");
-        assert_eq!(bar(0.0, 4), "....");
-        assert_eq!(bar(100.0, 4), "####");
     }
 }

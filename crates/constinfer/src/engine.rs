@@ -36,6 +36,27 @@ pub enum Mode {
     PolymorphicRecursive,
 }
 
+impl Mode {
+    /// The mode's name on the command line (`--mode`), in metrics, and
+    /// in every cache key.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Monomorphic => "mono",
+            Mode::Polymorphic => "poly",
+            Mode::PolymorphicRecursive => "polyrec",
+        }
+    }
+
+    /// The mode [`Mode::name`] calls `name`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Mode> {
+        [Mode::Monomorphic, Mode::Polymorphic, Mode::PolymorphicRecursive]
+            .into_iter()
+            .find(|m| m.name() == name)
+    }
+}
+
 /// A function's signature template nodes.
 #[derive(Debug, Clone)]
 pub struct SigNodes {
@@ -1413,6 +1434,16 @@ fn pointee_const_flags(t: &CTy) -> Vec<bool> {
 mod tests {
     use super::*;
     use qual_cfront::{parse, sema};
+
+    #[test]
+    fn mode_names_are_fixed_and_round_trip() {
+        let modes = [Mode::Monomorphic, Mode::Polymorphic, Mode::PolymorphicRecursive];
+        assert_eq!(modes.map(Mode::name), ["mono", "poly", "polyrec"]);
+        for m in modes {
+            assert_eq!(Mode::from_name(m.name()), Some(m));
+        }
+        assert_eq!(Mode::from_name("monomorphic"), None);
+    }
 
     fn analyze(src: &str, mode: Mode) -> Analysis {
         let prog = parse(src).expect("parses");

@@ -10,7 +10,7 @@
 //!   `nonnull`, `tainted`, and the substructural `relevant`/`affine`/
 //!   `linear` family), each carrying its polarity, a one-line summary,
 //!   and the checking rules it registers at the choice points;
-//! * [`rules`] — [`ActiveRules`](rules::ActiveRules), the per-engine
+//! * [`rules`] — [`ActiveRules`], the per-engine
 //!   compilation of a [`QualSpace`] into flat rule lists the
 //!   constraint-generation hot path iterates without any name lookups.
 //!

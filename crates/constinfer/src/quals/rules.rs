@@ -3,7 +3,7 @@
 //!
 //! Compilation happens once per engine (per work unit in the
 //! incremental driver): each coordinate of the [`QualSpace`] is looked
-//! up in the [`catalog`](crate::quals::catalog) and its rules are
+//! up in the [`catalog`] and its rules are
 //! appended in declaration order, so constraint emission order — and
 //! therefore every downstream byte (reports, summaries, cache entries)
 //! — is a pure function of the requested qualifier list. A space

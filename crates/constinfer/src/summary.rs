@@ -793,7 +793,7 @@ fn get_canon_var(r: &mut Reader<'_>) -> Result<CanonVar, WireError> {
             idx: r.u32()?,
         },
         3 => CanonVar::Local(r.u32()?),
-        _ => return Err(WireError::Malformed("canon var tag")),
+        t => return Err(WireError::Invalid { field: "canon var tag", value: t.into() }),
     })
 }
 
@@ -814,7 +814,7 @@ fn get_canon_qual(r: &mut Reader<'_>) -> Result<CanonQual, WireError> {
     Ok(match r.u8()? {
         0 => CanonQual::Var(get_canon_var(r)?),
         1 => CanonQual::Const(r.u64()?),
-        _ => return Err(WireError::Malformed("canon qual tag")),
+        t => return Err(WireError::Invalid { field: "canon qual tag", value: t.into() }),
     })
 }
 
@@ -911,11 +911,20 @@ pub fn encode_summary(s: &UnitSummary) -> Vec<u8> {
 
 /// Deserializes a summary produced by [`encode_summary`].
 ///
+/// Fault point `wire.decode`: a `Garbage` fault hides the second half
+/// of `bytes`, simulating a torn payload that the decoder must reject
+/// with [`WireError`] — exactly the path real bit rot takes through the
+/// cache.
+///
 /// # Errors
 ///
 /// Returns [`WireError`] on truncated or malformed input — corruption
 /// is a recoverable condition, never a panic.
 pub fn decode_summary(bytes: &[u8]) -> Result<UnitSummary, WireError> {
+    let bytes = match qual_faultpoint::hit("wire.decode") {
+        Some(qual_faultpoint::FaultKind::Garbage) => &bytes[..bytes.len() / 2],
+        _ => bytes,
+    };
     let mut r = Reader::new(bytes);
     let members = get_strings(&mut r)?;
     let failed = get_strings(&mut r)?;
@@ -977,9 +986,7 @@ pub fn decode_summary(bytes: &[u8]) -> Result<UnitSummary, WireError> {
     } else {
         None
     };
-    if !r.is_at_end() {
-        return Err(WireError::Malformed("trailing bytes after summary"));
-    }
+    r.finish()?;
     Ok(UnitSummary {
         members,
         failed,
@@ -1030,6 +1037,13 @@ mod tests {
         let back = decode_summary(&bytes).expect("round trip");
         assert_eq!(back, s);
         assert!(verify_summary(&space, &back).is_ok());
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_summary_are_rejected() {
+        let mut bytes = encode_summary(&UnitSummary::default());
+        bytes.extend_from_slice(&[0, 0, 0]);
+        assert_eq!(decode_summary(&bytes), Err(WireError::Trailing(3)));
     }
 
     #[test]

@@ -222,11 +222,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--mode" => match args.next().as_deref() {
-                Some("mono") => cfg.mode = Mode::Monomorphic,
-                Some("poly") => cfg.mode = Mode::Polymorphic,
-                Some("polyrec") => cfg.mode = Mode::PolymorphicRecursive,
-                _ => return usage(),
+            "--mode" => match args.next().as_deref().and_then(Mode::from_name) {
+                Some(mode) => cfg.mode = mode,
+                None => return usage(),
             },
             "--report" => cfg.action = Action::Report,
             "--annotate" => cfg.action = Action::Annotate,
@@ -345,7 +343,7 @@ fn main() -> ExitCode {
     // the batch. Metrics trouble (an unwritable path) is operational —
     // reported on stderr, never in the exit code.
     let (code, report) = qual_obs::scoped(run);
-    let mode = mode_name(cfg.mode);
+    let mode = cfg.mode.name();
     if let Some(path) = &cfg.metrics {
         let doc = report.to_json("cqual", mode);
         if let Err(e) = write_metrics_atomic(path, &doc.render()) {
@@ -401,14 +399,6 @@ fn write_metrics_atomic(path: &std::path::Path, doc: &str) -> std::io::Result<()
         let _ = std::fs::remove_file(&tmp);
     }
     written
-}
-
-fn mode_name(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Monomorphic => "mono",
-        Mode::Polymorphic => "poly",
-        Mode::PolymorphicRecursive => "polyrec",
-    }
 }
 
 /// Expands directory arguments to their `*.c` files, sorted; plain

@@ -65,11 +65,9 @@ fn main() -> ExitCode {
                 Some(d) => cfg.incr.cache_dir = Some(PathBuf::from(d)),
                 None => return usage(),
             },
-            "--mode" => match args.next().as_deref() {
-                Some("mono") => cfg.incr.mode = Mode::Monomorphic,
-                Some("poly") => cfg.incr.mode = Mode::Polymorphic,
-                Some("polyrec") => cfg.incr.mode = Mode::PolymorphicRecursive,
-                _ => return usage(),
+            "--mode" => match args.next().as_deref().and_then(Mode::from_name) {
+                Some(mode) => cfg.incr.mode = mode,
+                None => return usage(),
             },
             "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => cfg.incr.jobs = n,

@@ -13,6 +13,10 @@
 //! bytes   payload (an encoded UnitSummary)
 //! ```
 //!
+//! The header is written and read by `qual_solve::wire`, like the
+//! payload inside it, and its checksum is [`wire::checksum`] over the
+//! generation — the one QSP1 frames carry over their kind.
+//!
 //! **Crash safety.** Stores write to a temporary sibling, `fsync`, and
 //! `rename` into place. Rename is atomic on every platform we target,
 //! so a reader — in this process or another — observes each entry as
@@ -52,31 +56,11 @@ use std::time::{Duration, Instant};
 
 use qual_constinfer::summary::FORMAT_VERSION;
 use qual_faultpoint::FaultKind;
+use qual_solve::wire::{self, fnv1a, Reader, WireError, Writer, FNV_OFFSET};
 
 const MAGIC: &[u8; 4] = b"QINC";
 /// Container header size: magic + version + generation + length + checksum.
 const HEADER: usize = 4 + 4 + 8 + 8 + 8;
-
-/// FNV-1a, 64-bit; also the QSP1 frame checksum ([`crate::proto`]).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The container checksum covers every mutable header field plus the
-/// payload, so a flipped bit anywhere past the version field is caught.
-fn container_checksum(generation: u64, payload: &[u8]) -> u64 {
-    let h = fnv1a(FNV_OFFSET, &generation.to_le_bytes());
-    let h = fnv1a(h, &(payload.len() as u64).to_le_bytes());
-    fnv1a(h, payload)
-}
 
 /// A 128-bit content key (two independently seeded FNV-1a streams).
 /// Not cryptographic — the cache defends against staleness and
@@ -333,13 +317,14 @@ fn store_once(
     generation: u64,
 ) -> std::io::Result<()> {
     fs::create_dir_all(dir)?;
-    let mut bytes = Vec::with_capacity(payload.len() + HEADER);
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&generation.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&container_checksum(generation, payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let mut w = Writer::with_capacity(HEADER + payload.len());
+    w.bytes(MAGIC);
+    w.u32(FORMAT_VERSION);
+    w.u64(generation);
+    w.len_prefix(payload.len());
+    w.u64(wire::checksum(&generation.to_le_bytes(), payload));
+    w.bytes(payload);
+    let bytes = w.into_bytes();
     // The temp name must be unique per *writer*, not just per process:
     // two threads storing the same key would otherwise share a temp
     // path, and one's `File::create` truncates the file the other is
@@ -452,38 +437,47 @@ fn load_once(dir: &Path, key: &Key) -> Load {
             }
         }
     }
-    if bytes.len() < HEADER {
+    let mut r = Reader::new(&bytes);
+    let Ok((magic, version, generation, len, checksum)) = read_header(&mut r) else {
         return Load::Corrupt(format!(
             "cache entry truncated: {} byte(s), header needs {HEADER}",
             bytes.len()
         ));
-    }
-    if &bytes[0..4] != MAGIC {
+    };
+    if magic != MAGIC {
         return Load::Corrupt("cache entry has wrong magic".to_owned());
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         // A stale format is expected across tool upgrades: silently a
         // miss, not corruption.
         return Load::Absent;
     }
-    let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let checksum = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let payload = &bytes[HEADER..];
-    if payload.len() as u64 != len {
+    let payload = r.rest();
+    let have = payload.len() as u64;
+    if have < len {
         return Load::Corrupt(format!(
-            "cache entry truncated: payload is {} of {len} byte(s)",
-            payload.len()
+            "cache entry truncated: payload is {have} of {len} byte(s)"
         ));
     }
-    if container_checksum(generation, payload) != checksum {
+    if have > len {
+        return Load::Corrupt(format!(
+            "cache entry has {} trailing byte(s) after its {len}-byte payload",
+            have - len
+        ));
+    }
+    if wire::checksum(&generation.to_le_bytes(), payload) != checksum {
         return Load::Corrupt("cache entry failed its checksum".to_owned());
     }
     Load::Payload {
         bytes: payload.to_vec(),
         generation,
     }
+}
+
+/// A container header: magic, format version, generation, payload
+/// length, checksum.
+fn read_header<'a>(r: &mut Reader<'a>) -> Result<(&'a [u8], u32, u64, u64, u64), WireError> {
+    Ok((r.bytes(MAGIC.len())?, r.u32()?, r.u64()?, r.u64()?, r.u64()?))
 }
 
 // ---------------------------------------------------------------------
@@ -787,6 +781,24 @@ mod tests {
     }
 
     #[test]
+    fn trailing_bytes_past_the_payload_are_named() {
+        let dir = tmpdir("trailing");
+        let key = KeyHasher::new().finish();
+        store(&dir, &key, b"payload", 1, NO_RETRY).unwrap();
+        let path = entry_path(&dir, &key);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"xy");
+        fs::write(&path, &bytes).unwrap();
+        match load(&dir, &key, NO_RETRY).0 {
+            Load::Corrupt(m) => {
+                assert_eq!(m, "cache entry has 2 trailing byte(s) after its 7-byte payload");
+            }
+            other => panic!("trailing bytes must read as corruption: {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn pre_multi_qualifier_entries_miss_silently() {
         // A v2 container is exactly what a const-only build wrote
         // before the qualifier registry landed (FORMAT_VERSION 2).
@@ -806,7 +818,7 @@ mod tests {
         bytes.extend_from_slice(&generation.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(
-            &container_checksum(generation, payload).to_le_bytes(),
+            &wire::checksum(&generation.to_le_bytes(), payload).to_le_bytes(),
         );
         bytes.extend_from_slice(payload);
         fs::write(entry_path(&dir, &key), &bytes).unwrap();

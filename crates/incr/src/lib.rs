@@ -345,11 +345,7 @@ fn plan_units(src: &str, cfg: &IncrConfig) -> Planned {
     let env = {
         let mut h = KeyHasher::new();
         h.u64(u64::from(FORMAT_VERSION));
-        h.str(match cfg.mode {
-            Mode::Monomorphic => "mono",
-            Mode::Polymorphic => "poly",
-            Mode::PolymorphicRecursive => "polyrec",
-        });
+        h.str(cfg.mode.name());
         h.bool(cfg.options.simplify_schemes);
         h.bool(cfg.options.verify_solutions);
         h.u64(cfg.budgets.max_constraints as u64);

@@ -10,6 +10,8 @@
 //! bytes   payload
 //! ```
 //!
+//! Header and payloads are written by `qual_solve::wire`, the codec the
+//! cache uses too; the checksum is its [`wire::checksum`] over the kind.
 //! The checksum makes a torn or corrupted read a *detected* failure —
 //! the reader reports [`ProtoError`] and the peer is treated as bad —
 //! never silently trusted bytes. Payload length is bounded
@@ -46,9 +48,8 @@
 
 use std::io::{Read, Write};
 
-use qual_constinfer::Mode;
-
-use crate::cache::{fnv1a, FNV_OFFSET};
+use qual_constinfer::{Mode, PositionClass};
+use qual_solve::wire::{self, Reader, WireError, Writer};
 
 /// Protocol version, carried in every [`AnalyzeReq`]; a daemon built
 /// from a different source tree answers it with an ErrorReply.
@@ -82,7 +83,7 @@ pub enum ProtoError {
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtoError::Io(e) => write!(f, "pipe I/O failed: {e}"),
+            ProtoError::Io(e) => write!(f, "socket I/O failed: {e}"),
             ProtoError::Malformed(m) => write!(f, "malformed frame: {m}"),
         }
     }
@@ -94,98 +95,9 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-fn frame_checksum(kind: u32, payload: &[u8]) -> u64 {
-    let h = fnv1a(FNV_OFFSET, &kind.to_le_bytes());
-    let h = fnv1a(h, &(payload.len() as u64).to_le_bytes());
-    fnv1a(h, payload)
-}
-
-// ---------------------------------------------------------------------
-// Payload primitives.
-// ---------------------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u64(buf, b.len() as u64);
-    buf.extend_from_slice(b);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// A bounds-checked payload reader.
-struct Take<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Take<'a> {
-    fn new(buf: &'a [u8]) -> Take<'a> {
-        Take { buf, pos: 0 }
-    }
-
-    fn slice(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ProtoError::Malformed("payload truncated".to_owned()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.slice(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.slice(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn bool(&mut self) -> Result<bool, ProtoError> {
-        match self.slice(1)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(ProtoError::Malformed(format!("bad bool byte {b}"))),
-        }
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], ProtoError> {
-        let n = self.u64()?;
-        if n > MAX_FRAME {
-            return Err(ProtoError::Malformed(format!("field length {n} too large")));
-        }
-        self.slice(n as usize)
-    }
-
-    fn str(&mut self) -> Result<String, ProtoError> {
-        String::from_utf8(self.bytes()?.to_vec())
-            .map_err(|_| ProtoError::Malformed("non-UTF-8 string".to_owned()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn at_end(&self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::Malformed("trailing bytes in payload".to_owned()))
-        }
+impl From<WireError> for ProtoError {
+    fn from(e: WireError) -> ProtoError {
+        ProtoError::Malformed(e.to_string())
     }
 }
 
@@ -338,227 +250,213 @@ const KIND_STATS_REPLY: u32 = 15;
 const KIND_OVERLOADED: u32 = 16;
 const KIND_ERROR_REPLY: u32 = 17;
 
-fn put_mode(buf: &mut Vec<u8>, mode: Mode) {
-    buf.push(match mode {
+fn put_mode(w: &mut Writer, mode: Mode) {
+    w.u8(match mode {
         Mode::Monomorphic => 0,
         Mode::Polymorphic => 1,
         Mode::PolymorphicRecursive => 2,
     });
 }
 
-fn take_mode(t: &mut Take<'_>) -> Result<Mode, ProtoError> {
-    match t.slice(1)?[0] {
+fn get_mode(r: &mut Reader<'_>) -> Result<Mode, WireError> {
+    match r.u8()? {
         0 => Ok(Mode::Monomorphic),
         1 => Ok(Mode::Polymorphic),
         2 => Ok(Mode::PolymorphicRecursive),
-        m => Err(ProtoError::Malformed(format!("bad mode tag {m}"))),
+        m => Err(WireError::Invalid { field: "mode tag", value: m.into() }),
     }
 }
 
-/// A position class tag: 0 must-const, 1 must-not-const, 2 either.
-fn take_class(t: &mut Take<'_>) -> Result<u8, ProtoError> {
-    match t.slice(1)?[0] {
-        c @ 0..=2 => Ok(c),
-        c => Err(ProtoError::Malformed(format!("bad position class tag {c}"))),
+/// Wire tag for a position class (0 = must, 1 = must-not, 2 = either).
+#[must_use]
+pub fn class_to_tag(class: PositionClass) -> u8 {
+    match class {
+        PositionClass::MustConst => 0,
+        PositionClass::MustNotConst => 1,
+        PositionClass::Either => 2,
     }
 }
 
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(n) => {
-            put_bool(buf, true);
-            put_u64(buf, n);
-        }
-        None => put_bool(buf, false),
+/// Inverse of [`class_to_tag`]; `None` for an unknown tag.
+#[must_use]
+pub fn class_from_tag(tag: u8) -> Option<PositionClass> {
+    match tag {
+        0 => Some(PositionClass::MustConst),
+        1 => Some(PositionClass::MustNotConst),
+        2 => Some(PositionClass::Either),
+        _ => None,
     }
 }
 
-fn take_opt_u64(t: &mut Take<'_>) -> Result<Option<u64>, ProtoError> {
-    Ok(if t.bool()? { Some(t.u64()?) } else { None })
+/// A position class tag, checked by [`class_from_tag`].
+fn get_class(r: &mut Reader<'_>) -> Result<u8, WireError> {
+    let tag = r.u8()?;
+    match class_from_tag(tag) {
+        Some(_) => Ok(tag),
+        None => Err(WireError::Invalid { field: "position class tag", value: tag.into() }),
+    }
 }
 
-fn take_param(t: &mut Take<'_>) -> Result<Option<u32>, ProtoError> {
-    take_opt_u64(t)?
+fn get_param(r: &mut Reader<'_>) -> Result<Option<u32>, WireError> {
+    r.opt_u64()?
         .map(|v| {
-            u32::try_from(v).map_err(|_| {
-                ProtoError::Malformed(format!("parameter index {v} out of range"))
-            })
+            u32::try_from(v).map_err(|_| WireError::Invalid { field: "parameter index", value: v })
         })
         .transpose()
 }
 
-fn put_analyze_req(buf: &mut Vec<u8>, req: &AnalyzeReq) {
-    put_u32(buf, req.version);
-    put_str(buf, &req.src);
-    put_mode(buf, req.mode);
-    put_str(buf, &req.quals);
-    put_bool(buf, req.verify);
-    put_opt_u64(buf, req.deadline_ms);
+fn put_analyze_req(w: &mut Writer, req: &AnalyzeReq) {
+    w.u32(req.version);
+    w.str(&req.src);
+    put_mode(w, req.mode);
+    w.str(&req.quals);
+    w.bool(req.verify);
+    w.opt_u64(req.deadline_ms);
 }
 
-fn take_analyze_req(t: &mut Take<'_>) -> Result<AnalyzeReq, ProtoError> {
+fn get_analyze_req(r: &mut Reader<'_>) -> Result<AnalyzeReq, WireError> {
     Ok(AnalyzeReq {
-        version: t.u32()?,
-        src: t.str()?,
-        mode: take_mode(t)?,
-        quals: t.str()?,
-        verify: t.bool()?,
-        deadline_ms: take_opt_u64(t)?,
+        version: r.u32()?,
+        src: r.str()?,
+        mode: get_mode(r)?,
+        quals: r.str()?,
+        verify: r.bool()?,
+        deadline_ms: r.opt_u64()?,
     })
 }
 
-/// Reads an element count and bounds it: each element consumes at
-/// least one payload byte, so any count beyond the remaining bytes is
-/// structurally impossible and rejected before allocation.
-fn take_count(t: &mut Take<'_>) -> Result<usize, ProtoError> {
-    let n = t.u64()?;
-    let remaining = t.remaining() as u64;
-    if n > remaining {
-        return Err(ProtoError::Malformed(format!(
-            "element count {n} exceeds the {remaining} payload bytes left"
-        )));
-    }
-    Ok(n as usize)
-}
-
 fn encode_payload(frame: &Frame) -> (u32, Vec<u8>) {
-    let mut buf = Vec::new();
-    match frame {
-        Frame::Shutdown => (KIND_SHUTDOWN, buf),
+    let mut w = Writer::new();
+    let kind = match frame {
+        Frame::Shutdown => KIND_SHUTDOWN,
         Frame::Analyze(req) => {
-            put_analyze_req(&mut buf, req);
-            (KIND_ANALYZE, buf)
+            put_analyze_req(&mut w, req);
+            KIND_ANALYZE
         }
         Frame::Reanalyze(req) => {
-            put_analyze_req(&mut buf, req);
-            (KIND_REANALYZE, buf)
+            put_analyze_req(&mut w, req);
+            KIND_REANALYZE
         }
         Frame::QueryQual { function, param, level } => {
-            put_str(&mut buf, function);
-            put_opt_u64(&mut buf, param.map(u64::from));
-            put_u32(&mut buf, *level);
-            (KIND_QUERY_QUAL, buf)
+            w.str(function);
+            w.opt_u64(param.map(u64::from));
+            w.u32(*level);
+            KIND_QUERY_QUAL
         }
-        Frame::Explain => (KIND_EXPLAIN, buf),
-        Frame::Stats => (KIND_STATS, buf),
+        Frame::Explain => KIND_EXPLAIN,
+        Frame::Stats => KIND_STATS,
         Frame::Report(rep) => {
-            put_mode(&mut buf, rep.mode);
-            put_bool(&mut buf, rep.verify);
+            put_mode(&mut w, rep.mode);
+            w.bool(rep.verify);
             match rep.counts {
                 Some([t, d, i]) => {
-                    put_bool(&mut buf, true);
-                    put_u64(&mut buf, t);
-                    put_u64(&mut buf, d);
-                    put_u64(&mut buf, i);
+                    w.bool(true);
+                    w.u64(t);
+                    w.u64(d);
+                    w.u64(i);
                 }
-                None => put_bool(&mut buf, false),
+                None => w.bool(false),
             }
-            put_u64(&mut buf, rep.qual_counts.len() as u64);
+            w.len_prefix(rep.qual_counts.len());
             for (name, may, must) in &rep.qual_counts {
-                put_str(&mut buf, name);
-                put_u64(&mut buf, *may);
-                put_u64(&mut buf, *must);
+                w.str(name);
+                w.u64(*may);
+                w.u64(*must);
             }
-            put_u64(&mut buf, rep.positions.len() as u64);
+            w.len_prefix(rep.positions.len());
             for p in &rep.positions {
-                put_str(&mut buf, &p.function);
-                put_opt_u64(&mut buf, p.param.map(u64::from));
-                put_u32(&mut buf, p.level);
-                put_bool(&mut buf, p.declared);
-                buf.push(p.class);
+                w.str(&p.function);
+                w.opt_u64(p.param.map(u64::from));
+                w.u32(p.level);
+                w.bool(p.declared);
+                w.u8(p.class);
             }
             for list in [&rep.skipped, &rep.cache_notes] {
-                put_u64(&mut buf, list.len() as u64);
+                w.len_prefix(list.len());
                 for s in list {
-                    put_str(&mut buf, s);
+                    w.str(s);
                 }
             }
-            put_u64(&mut buf, rep.cert_failures);
-            put_u64(&mut buf, rep.constraints);
-            put_u64(&mut buf, rep.quarantined);
-            put_bool(&mut buf, rep.warm);
-            put_u64(&mut buf, rep.reused);
-            put_u64(&mut buf, rep.analyzed);
-            (KIND_REPORT, buf)
+            w.u64(rep.cert_failures);
+            w.u64(rep.constraints);
+            w.u64(rep.quarantined);
+            w.bool(rep.warm);
+            w.u64(rep.reused);
+            w.u64(rep.analyzed);
+            KIND_REPORT
         }
         Frame::QualReply { found, class, declared, label } => {
-            put_bool(&mut buf, *found);
-            buf.push(*class);
-            put_bool(&mut buf, *declared);
-            put_str(&mut buf, label);
-            (KIND_QUAL_REPLY, buf)
+            w.bool(*found);
+            w.u8(*class);
+            w.bool(*declared);
+            w.str(label);
+            KIND_QUAL_REPLY
         }
         Frame::ExplainReply { text } => {
-            put_str(&mut buf, text);
-            (KIND_EXPLAIN_REPLY, buf)
+            w.str(text);
+            KIND_EXPLAIN_REPLY
         }
         Frame::StatsReply { pairs } => {
-            put_u64(&mut buf, pairs.len() as u64);
+            w.len_prefix(pairs.len());
             for (name, value) in pairs {
-                put_str(&mut buf, name);
-                put_u64(&mut buf, *value);
+                w.str(name);
+                w.u64(*value);
             }
-            (KIND_STATS_REPLY, buf)
+            KIND_STATS_REPLY
         }
         Frame::Overloaded { retry_after_ms, queue_depth, inflight } => {
-            put_u64(&mut buf, *retry_after_ms);
-            put_u32(&mut buf, *queue_depth);
-            put_u32(&mut buf, *inflight);
-            (KIND_OVERLOADED, buf)
+            w.u64(*retry_after_ms);
+            w.u32(*queue_depth);
+            w.u32(*inflight);
+            KIND_OVERLOADED
         }
         Frame::ErrorReply { message } => {
-            put_str(&mut buf, message);
-            (KIND_ERROR_REPLY, buf)
+            w.str(message);
+            KIND_ERROR_REPLY
         }
-    }
+    };
+    (kind, w.into_bytes())
 }
 
 fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut t = Take::new(payload);
+    let mut r = Reader::new(payload);
     let frame = match kind {
         KIND_SHUTDOWN => Frame::Shutdown,
-        KIND_ANALYZE => Frame::Analyze(Box::new(take_analyze_req(&mut t)?)),
-        KIND_REANALYZE => Frame::Reanalyze(Box::new(take_analyze_req(&mut t)?)),
-        KIND_QUERY_QUAL => {
-            let function = t.str()?;
-            let param = take_param(&mut t)?;
-            let level = t.u32()?;
-            Frame::QueryQual { function, param, level }
-        }
+        KIND_ANALYZE => Frame::Analyze(Box::new(get_analyze_req(&mut r)?)),
+        KIND_REANALYZE => Frame::Reanalyze(Box::new(get_analyze_req(&mut r)?)),
+        KIND_QUERY_QUAL => Frame::QueryQual {
+            function: r.str()?,
+            param: get_param(&mut r)?,
+            level: r.u32()?,
+        },
         KIND_EXPLAIN => Frame::Explain,
         KIND_STATS => Frame::Stats,
         KIND_REPORT => {
-            let mode = take_mode(&mut t)?;
-            let verify = t.bool()?;
-            let counts = if t.bool()? {
-                Some([t.u64()?, t.u64()?, t.u64()?])
+            let mode = get_mode(&mut r)?;
+            let verify = r.bool()?;
+            let counts = if r.bool()? {
+                Some([r.u64()?, r.u64()?, r.u64()?])
             } else {
                 None
             };
-            let nq = take_count(&mut t)?;
             let mut qual_counts = Vec::new();
-            for _ in 0..nq {
-                let name = t.str()?;
-                let may = t.u64()?;
-                let must = t.u64()?;
-                qual_counts.push((name, may, must));
+            for _ in 0..r.len_prefix()? {
+                qual_counts.push((r.str()?, r.u64()?, r.u64()?));
             }
-            let n = take_count(&mut t)?;
             let mut positions = Vec::new();
-            for _ in 0..n {
+            for _ in 0..r.len_prefix()? {
                 positions.push(WirePosition {
-                    function: t.str()?,
-                    param: take_param(&mut t)?,
-                    level: t.u32()?,
-                    declared: t.bool()?,
-                    class: take_class(&mut t)?,
+                    function: r.str()?,
+                    param: get_param(&mut r)?,
+                    level: r.u32()?,
+                    declared: r.bool()?,
+                    class: get_class(&mut r)?,
                 });
             }
             let mut lists = [Vec::new(), Vec::new()];
             for list in &mut lists {
-                let n = take_count(&mut t)?;
-                for _ in 0..n {
-                    list.push(t.str()?);
+                for _ in 0..r.len_prefix()? {
+                    list.push(r.str()?);
                 }
             }
             let [skipped, cache_notes] = lists;
@@ -570,40 +468,37 @@ fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
                 positions,
                 skipped,
                 cache_notes,
-                cert_failures: t.u64()?,
-                constraints: t.u64()?,
-                quarantined: t.u64()?,
-                warm: t.bool()?,
-                reused: t.u64()?,
-                analyzed: t.u64()?,
+                cert_failures: r.u64()?,
+                constraints: r.u64()?,
+                quarantined: r.u64()?,
+                warm: r.bool()?,
+                reused: r.u64()?,
+                analyzed: r.u64()?,
             }))
         }
         KIND_QUAL_REPLY => Frame::QualReply {
-            found: t.bool()?,
-            class: take_class(&mut t)?,
-            declared: t.bool()?,
-            label: t.str()?,
+            found: r.bool()?,
+            class: get_class(&mut r)?,
+            declared: r.bool()?,
+            label: r.str()?,
         },
-        KIND_EXPLAIN_REPLY => Frame::ExplainReply { text: t.str()? },
+        KIND_EXPLAIN_REPLY => Frame::ExplainReply { text: r.str()? },
         KIND_STATS_REPLY => {
-            let n = take_count(&mut t)?;
             let mut pairs = Vec::new();
-            for _ in 0..n {
-                let name = t.str()?;
-                let value = t.u64()?;
-                pairs.push((name, value));
+            for _ in 0..r.len_prefix()? {
+                pairs.push((r.str()?, r.u64()?));
             }
             Frame::StatsReply { pairs }
         }
         KIND_OVERLOADED => Frame::Overloaded {
-            retry_after_ms: t.u64()?,
-            queue_depth: t.u32()?,
-            inflight: t.u32()?,
+            retry_after_ms: r.u64()?,
+            queue_depth: r.u32()?,
+            inflight: r.u32()?,
         },
-        KIND_ERROR_REPLY => Frame::ErrorReply { message: t.str()? },
+        KIND_ERROR_REPLY => Frame::ErrorReply { message: r.str()? },
         k => return Err(ProtoError::Malformed(format!("unknown frame kind {k}"))),
     };
-    t.at_end()?;
+    r.finish()?;
     Ok(frame)
 }
 
@@ -611,7 +506,7 @@ fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
 ///
 /// # Errors
 ///
-/// Pipe I/O failure, or an injected `proto.write` fault.
+/// Socket I/O failure, or an injected `proto.write` fault.
 ///
 /// # Panics
 ///
@@ -621,8 +516,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtoError> 
     let (kind, mut payload) = encode_payload(frame);
     // Checksum describes what the writer *means* to send; an injected
     // `garbage` fault below corrupts the bytes after checksumming,
-    // exactly like bit rot on the pipe, so the reader must reject.
-    let checksum = frame_checksum(kind, &payload);
+    // exactly like bit rot on the socket, so the reader must reject.
+    let checksum = wire::checksum(&kind.to_le_bytes(), &payload);
     match qual_faultpoint::hit("proto.write") {
         Some(qual_faultpoint::FaultKind::Io | qual_faultpoint::FaultKind::ShortWrite) => {
             return Err(ProtoError::Io(std::io::Error::other(
@@ -669,13 +564,13 @@ fn write_raw(
     checksum: u64,
     payload: &[u8],
 ) -> Result<(), ProtoError> {
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out.extend_from_slice(payload);
-    w.write_all(&out)?;
+    let mut out = Writer::with_capacity(HEADER + payload.len());
+    out.bytes(MAGIC);
+    out.u32(kind);
+    out.len_prefix(payload.len());
+    out.u64(checksum);
+    out.bytes(payload);
+    w.write_all(&out.into_bytes())?;
     w.flush()?;
     Ok(())
 }
@@ -684,7 +579,7 @@ fn write_raw(
 ///
 /// # Errors
 ///
-/// Pipe I/O failure (including clean EOF, which is `Io` with
+/// Socket I/O failure (including clean EOF, which is `Io` with
 /// `UnexpectedEof`), a malformed or corrupted frame, or an injected
 /// `proto.read` fault.
 ///
@@ -706,12 +601,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
     }
     let mut header = [0u8; HEADER];
     r.read_exact(&mut header)?;
-    if &header[0..4] != MAGIC {
+    let mut h = Reader::new(&header);
+    if h.bytes(MAGIC.len())? != MAGIC {
         return Err(ProtoError::Malformed("bad frame magic".to_owned()));
     }
-    let kind = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    let (kind, len, checksum) = (h.u32()?, h.u64()?, h.u64()?);
     if len > MAX_FRAME {
         return Err(ProtoError::Malformed(format!(
             "frame length {len} exceeds the {MAX_FRAME}-byte bound"
@@ -733,7 +627,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
             }
         }
     }
-    if frame_checksum(kind, &payload) != checksum {
+    if wire::checksum(&kind.to_le_bytes(), &payload) != checksum {
         return Err(ProtoError::Malformed(
             "frame failed its checksum".to_owned(),
         ));
@@ -934,7 +828,8 @@ mod tests {
     /// only the payload decoder stands between it and the reader.
     fn forge(kind: u32, payload: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_raw(&mut buf, kind, frame_checksum(kind, payload), payload).unwrap();
+        write_raw(&mut buf, kind, wire::checksum(&kind.to_le_bytes(), payload), payload)
+            .unwrap();
         buf
     }
 
@@ -966,12 +861,12 @@ mod tests {
     fn report_element_counts_are_bounded_by_payload_size() {
         // A forged Report claiming 2^40 positions must be rejected by
         // the count-vs-remaining-bytes guard, not attempted.
-        let mut payload = Vec::new();
-        put_mode(&mut payload, Mode::Monomorphic);
-        put_bool(&mut payload, false); // verify
-        put_bool(&mut payload, false); // counts absent
-        put_u64(&mut payload, 1 << 40); // position count: absurd
-        match read_frame(&mut forge(KIND_REPORT, &payload).as_slice()) {
+        let mut w = Writer::new();
+        put_mode(&mut w, Mode::Monomorphic);
+        w.bool(false); // verify
+        w.bool(false); // counts absent
+        w.u64(1 << 40); // position count: absurd
+        match read_frame(&mut forge(KIND_REPORT, &w.into_bytes()).as_slice()) {
             Err(ProtoError::Malformed(m)) => {
                 assert!(m.contains("element count"), "{m}");
             }
@@ -979,9 +874,21 @@ mod tests {
         }
     }
 
+    #[test]
+    fn trailing_payload_bytes_are_rejected() {
+        let (kind, mut payload) = encode_payload(&sample_query());
+        payload.push(0);
+        for (kind, payload) in [(kind, payload), (KIND_STATS, vec![0, 0])] {
+            match read_frame(&mut forge(kind, &payload).as_slice()) {
+                Err(ProtoError::Malformed(m)) => assert!(m.contains("trailing byte"), "{m}"),
+                other => panic!("kind {kind}: trailing bytes must be rejected: {other:?}"),
+            }
+        }
+    }
+
     /// A reader that refuses to cross `cut` in a single `read` call:
     /// the first calls return bytes strictly before the cut, later
-    /// calls the rest — exactly a pipe delivering a frame in two
+    /// calls the rest — exactly a socket delivering a frame in two
     /// chunks.
     struct Chunked<'a> {
         data: &'a [u8],

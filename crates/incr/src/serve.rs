@@ -58,6 +58,7 @@ use qual_solve::{sort_diagnostics, Phase};
 
 use crate::cache::{Key, KeyHasher};
 use crate::proto::{self, AnalyzeReq, Frame, ReportFrame, WirePosition};
+pub use crate::proto::{class_from_tag, class_to_tag};
 use crate::{Driver, IncrConfig, IncrOutcome};
 
 /// Reports memoized before the oldest is evicted.
@@ -1143,27 +1144,6 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
 // ---------------------------------------------------------------------------
 // Reports
 // ---------------------------------------------------------------------------
-
-/// Wire tag for a position class (0 = must, 1 = must-not, 2 = either).
-#[must_use]
-pub fn class_to_tag(class: PositionClass) -> u8 {
-    match class {
-        PositionClass::MustConst => 0,
-        PositionClass::MustNotConst => 1,
-        PositionClass::Either => 2,
-    }
-}
-
-/// Inverse of [`class_to_tag`]; `None` for an unknown tag.
-#[must_use]
-pub fn class_from_tag(tag: u8) -> Option<PositionClass> {
-    match tag {
-        0 => Some(PositionClass::MustConst),
-        1 => Some(PositionClass::MustNotConst),
-        2 => Some(PositionClass::Either),
-        _ => None,
-    }
-}
 
 /// Renders an analysis outcome into the wire report a `--connect`
 /// client prints. Diagnostics are sorted and rendered here, so the

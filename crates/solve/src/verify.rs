@@ -6,7 +6,7 @@
 //! constraint, one qualifier coordinate at a time, and an unsat
 //! [`Explanation`] is replayed step by step to confirm the contradiction
 //! it claims. Neither check shares any logic with the worklist
-//! propagation in [`crate::solver`] — the checker walks constraints, not
+//! propagation in the solver — the checker walks constraints, not
 //! graphs, so a propagation bug cannot hide from it.
 //!
 //! A failed check is a [`CertificateError`] naming the exact constraint,
