@@ -62,15 +62,6 @@ impl Fdg {
         self.names.iter().position(|n| n == name)
     }
 
-    /// The SCC index containing `v`.
-    #[must_use]
-    pub fn scc_of(&self, v: usize) -> usize {
-        self.sccs
-            .iter()
-            .position(|scc| scc.contains(&v))
-            .expect("every vertex is in an SCC")
-    }
-
     /// For each vertex, the index (into [`Fdg::sccs`]) of its component.
     #[must_use]
     pub fn scc_index_of(&self) -> Vec<usize> {

@@ -168,8 +168,6 @@ pub struct FaultPlan {
     rules: Vec<Rule>,
     /// Seeded schedule, as (seed, injection rate per mille of hits).
     seeded: Option<(u64, u32)>,
-    /// Panics allowed in the seeded schedule (explicit rules always may).
-    seeded_panics: bool,
     /// Stateful environment machines (disk / fds / allocator).
     env: EnvSpec,
 }
@@ -188,7 +186,6 @@ impl FaultPlan {
         FaultPlan {
             rules: Vec::new(),
             seeded: Some((seed, rate_per_mille.min(1000))),
-            seeded_panics: true,
             env: EnvSpec::default(),
         }
     }
@@ -221,14 +218,6 @@ impl FaultPlan {
     #[must_use]
     pub fn with_alloc(mut self, watermark_bytes: u64, gc_after: Option<u64>) -> FaultPlan {
         self.env.alloc = Some((watermark_bytes, gc_after.unwrap_or(DEFAULT_ENV_GC_AFTER)));
-        self
-    }
-
-    /// Disables panic faults in the seeded schedule (explicit rules are
-    /// unaffected). Useful where the harness wants I/O-level chaos only.
-    #[must_use]
-    pub fn without_seeded_panics(mut self) -> FaultPlan {
-        self.seeded_panics = false;
         self
     }
 
@@ -274,7 +263,6 @@ impl FaultPlan {
                     ),
                 };
                 plan.seeded = Some((seed, rate.min(1000)));
-                plan.seeded_panics = true;
                 continue;
             }
             let mut env_clause = false;
@@ -353,17 +341,13 @@ impl FaultPlan {
         let (seed, rate) = self.seeded?;
         let roll = splitmix(seed ^ fnv(point) ^ hit.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         if roll % 1000 < u64::from(rate) {
-            let mut kind = match splitmix(roll) % 5 {
+            Some(match splitmix(roll) % 5 {
                 0 => FaultKind::Io,
                 1 => FaultKind::ShortWrite,
                 2 => FaultKind::Garbage,
                 3 => FaultKind::Panic,
                 _ => FaultKind::Delay(1 + splitmix(roll ^ 0xff) % 8),
-            };
-            if kind == FaultKind::Panic && !self.seeded_panics {
-                kind = FaultKind::Io;
-            }
-            Some(kind)
+            })
         } else {
             None
         }

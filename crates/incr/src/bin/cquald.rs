@@ -9,8 +9,8 @@
 //!        [--memory-budget-mb N]
 //! ```
 //!
-//! The daemon holds one analysis session resident (the QINC cache
-//! session plus a memo of recent reports) and serves QSP1 server frames
+//! The daemon holds one analysis session resident (a driver over the
+//! QINC cache directory plus a memo of recent reports) and serves QSP1 server frames
 //! on the unix socket. It admits a bounded amount of work and sheds the
 //! rest with structured `Overloaded` replies; it drains gracefully on
 //! SIGTERM/SIGINT or a client Shutdown frame; and because every durable

@@ -7,7 +7,7 @@
 //! ```text
 //! "QINC"  magic (4 bytes)
 //! u32 LE  format version (must equal summary::FORMAT_VERSION)
-//! u64 LE  writer generation (see below)
+//! u64 LE  writer generation (the driver always writes 0)
 //! u64 LE  payload length
 //! u64 LE  FNV-1a checksum of generation, length, and payload
 //! bytes   payload (an encoded UnitSummary)
@@ -22,19 +22,14 @@
 //! so a reader — in this process or another — observes each entry as
 //! either the complete old state or the complete new state, never a
 //! torn mixture; a writer killed at *any* point leaves at worst a stray
-//! temp file (swept by [`open_session`]) plus the old entry. The chaos
+//! temp file (swept by [`prepare_dir`]) plus the old entry. The chaos
 //! suite drives a fault plan through every write-side fault point to
 //! hold this invariant.
 //!
-//! **Concurrency.** Entry files need no lock: keys are content hashes,
-//! so two processes writing the same key write identical bytes, and the
-//! atomic rename arbitrates. The one read-modify-write in the design —
-//! the session **generation counter** — is serialized by an advisory
-//! lock file (`.qinc.lock`, created with `O_EXCL`). Lock waiting is
-//! bounded with backoff; a lock left behind by a dead process is
-//! *stolen* once it looks stale, and if the lock never frees the
-//! session proceeds locklessly with a diagnostic rather than deadlock —
-//! generations are observability, not integrity (the checksum is).
+//! **Concurrency.** Nothing is locked: keys are content hashes and the
+//! driver stamps every entry with generation 0, so two processes
+//! writing the same key write identical bytes, and the atomic rename
+//! arbitrates.
 //!
 //! **Transient I/O.** Reads and writes retry with bounded exponential
 //! backoff under a [`RetryPolicy`]; retry counts surface in
@@ -45,14 +40,13 @@
 //! [`Load::Corrupt`]; corruption is a *diagnostic*, never a panic, and
 //! the driver falls back to a cold analysis.
 //!
-//! Fault points (`qual-faultpoint`): `cache.read`, `cache.write`,
-//! `cache.lock`.
+//! Fault points (`qual-faultpoint`): `cache.read`, `cache.write`.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use qual_constinfer::summary::FORMAT_VERSION;
 use qual_faultpoint::FaultKind;
@@ -248,13 +242,7 @@ pub fn is_disk_full_msg(msg: &str) -> bool {
 /// after a degrade flips the latch back.
 #[derive(Debug, Default)]
 pub struct Health {
-    inner: Mutex<HealthState>,
-}
-
-#[derive(Debug, Default)]
-struct HealthState {
-    degraded: bool,
-    episodes: u64,
+    degraded: AtomicBool,
 }
 
 impl Health {
@@ -268,12 +256,9 @@ impl Health {
     /// diagnostic on the healthy→degraded transition, `None` while the
     /// episode is already underway.
     pub fn note_disk_full(&self) -> Option<String> {
-        let mut st = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if st.degraded {
+        if self.degraded.swap(true, Ordering::SeqCst) {
             return None;
         }
-        st.degraded = true;
-        st.episodes += 1;
         Some(
             "cache: disk full (ENOSPC); continuing uncached until space returns"
                 .to_owned(),
@@ -283,30 +268,16 @@ impl Health {
     /// Records a successful store. Returns the heal note on the
     /// degraded→healthy transition, `None` in steady healthy state.
     pub fn note_store_ok(&self) -> Option<String> {
-        let mut st = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !st.degraded {
+        if !self.degraded.swap(false, Ordering::SeqCst) {
             return None;
         }
-        st.degraded = false;
         Some("cache: disk space returned; caching resumed".to_owned())
     }
 
     /// Whether the cache is currently in a disk-full degrade episode.
     #[must_use]
     pub fn degraded(&self) -> bool {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .degraded
-    }
-
-    /// Degrade episodes begun since this tracker was created.
-    #[must_use]
-    pub fn episodes(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .episodes
+        self.degraded.load(Ordering::SeqCst)
     }
 }
 
@@ -480,157 +451,21 @@ fn read_header<'a>(r: &mut Reader<'a>) -> Result<(&'a [u8], u32, u64, u64, u64),
     Ok((r.bytes(MAGIC.len())?, r.u32()?, r.u64()?, r.u64()?, r.u64()?))
 }
 
-// ---------------------------------------------------------------------
-// Sessions: advisory lock + generation counter.
-// ---------------------------------------------------------------------
-
-/// How long a lock file may sit unchanged before another session
-/// declares its owner dead and steals it.
-const LOCK_STALE_AFTER: Duration = Duration::from_secs(5);
-
-/// The staleness bound, with a test override: `QUAL_LOCK_STALE_MS`
-/// shrinks the window so suites can exercise the stealing path without
-/// multi-second waits. Read per probe — the bound only matters on the
-/// contended path, where a file stat dwarfs an env lookup.
-fn lock_stale_after() -> Duration {
-    std::env::var("QUAL_LOCK_STALE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(LOCK_STALE_AFTER, Duration::from_millis)
-}
-/// Total bounded wait for the advisory lock before degrading to a
-/// lockless session. Generations are observability, not integrity, so
-/// waiting forever would be the wrong trade.
-const LOCK_MAX_WAIT: Duration = Duration::from_millis(500);
-/// Stray temp files older than this are swept at session open.
+/// Stray temp files older than this are swept by [`prepare_dir`].
 const TMP_STALE_AFTER: Duration = Duration::from_secs(600);
 
-/// What opening a cache session established.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Session {
-    /// This writer's generation (monotonic across well-behaved
-    /// sessions; 0 when the counter was unreachable).
-    pub generation: u64,
-    /// Time spent waiting on the advisory lock, in milliseconds.
-    pub lock_wait_ms: u64,
-    /// Stale locks stolen from dead owners.
-    pub lock_steals: u32,
-    /// Whether the session gave up on the lock and ran lockless.
-    pub lockless: bool,
-    /// A human-readable note when anything degraded.
-    pub diag: Option<String>,
-}
-
-/// Appends a degradation note to the session, preserving any earlier
-/// one (a stolen lock followed by an unwritable counter reports both).
-fn add_diag(session: &mut Session, note: String) {
-    session.diag = Some(match session.diag.take() {
-        Some(prev) => format!("{prev}; {note}"),
-        None => note,
-    });
-}
-
-fn lock_path(dir: &Path) -> PathBuf {
-    dir.join(".qinc.lock")
-}
-
-fn gen_path(dir: &Path) -> PathBuf {
-    dir.join(".qinc.gen")
-}
-
-/// Removes the advisory lock when dropped.
-struct LockGuard {
-    path: PathBuf,
-}
-
-impl Drop for LockGuard {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Tries to take the advisory lock: bounded backoff, stale-lock
-/// stealing. `None` means the wait budget ran out.
-fn acquire_lock(dir: &Path, session: &mut Session) -> Option<LockGuard> {
-    let path = lock_path(dir);
-    let started = Instant::now();
-    let mut backoff = Duration::from_millis(1);
-    loop {
-        if let Some(kind) = qual_faultpoint::hit("cache.lock") {
-            match kind {
-                FaultKind::Io | FaultKind::ShortWrite => {
-                    session.lock_wait_ms += started.elapsed().as_millis() as u64;
-                    return None;
-                }
-                FaultKind::Panic => panic!("injected panic at cache.lock"),
-                // Garbage on a lock has no meaning; Delay already slept.
-                _ => {}
-            }
-        }
-        match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(mut f) => {
-                // Content is for humans inspecting a wedged cache dir.
-                let _ = writeln!(f, "pid {}", std::process::id());
-                session.lock_wait_ms += started.elapsed().as_millis() as u64;
-                return Some(LockGuard { path });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                // Held by someone. Stale? Steal it.
-                let stale = fs::metadata(&path)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.elapsed().ok())
-                    .is_some_and(|age| age > lock_stale_after());
-                if stale {
-                    let _ = fs::remove_file(&path);
-                    session.lock_steals += 1;
-                    // A steal means some session died (or wedged) while
-                    // holding the lock — worth one counter and one
-                    // structured note, never a silent event.
-                    qual_obs::count("cache.lock_stolen", 1);
-                    add_diag(
-                        session,
-                        format!(
-                            "stole stale advisory lock {} (unchanged past its staleness bound)",
-                            path.display()
-                        ),
-                    );
-                    continue;
-                }
-                if started.elapsed() >= LOCK_MAX_WAIT {
-                    session.lock_wait_ms += started.elapsed().as_millis() as u64;
-                    return None;
-                }
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(32));
-            }
-            Err(_) => {
-                // Unexpected I/O trouble creating the lock (permissions,
-                // missing dir): degrade immediately rather than spin.
-                session.lock_wait_ms += started.elapsed().as_millis() as u64;
-                return None;
-            }
-        }
-    }
-}
-
-/// Opens a cache session: sweeps stale temp files, then bumps the
-/// shared generation counter under the advisory lock. Every failure
-/// mode degrades — lockless sessions, generation 0 — with a note in
-/// [`Session::diag`]; nothing here can fail the analysis.
+/// Prepares a cache directory for use: creates it, then sweeps temp
+/// files abandoned by crashed writers. Returns the one "unusable" note
+/// when the directory cannot be created; stores then fail and report,
+/// and nothing here can fail the analysis.
 #[must_use]
-pub fn open_session(dir: &Path, policy: RetryPolicy) -> Session {
-    let mut session = Session::default();
+pub fn prepare_dir(dir: &Path) -> Option<String> {
     if fs::create_dir_all(dir).is_err() {
-        // Stores will fail and report; the session itself stays quiet
-        // but lockless.
-        session.lockless = true;
-        session.diag = Some(format!("cache directory {} is unusable", dir.display()));
-        return session;
+        return Some(format!("cache directory {} is unusable", dir.display()));
     }
 
-    // Sweep temp files abandoned by crashed writers. Best effort; age
-    // check keeps us clear of a live writer's in-flight temp.
+    // Best effort; the age check keeps us clear of a live writer's
+    // in-flight temp.
     if let Ok(entries) = fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name();
@@ -649,53 +484,7 @@ pub fn open_session(dir: &Path, policy: RetryPolicy) -> Session {
             }
         }
     }
-
-    let guard = acquire_lock(dir, &mut session);
-    if guard.is_none() {
-        session.lockless = true;
-        add_diag(
-            &mut session,
-            "cache lock unavailable; proceeding lockless (generation not bumped)".to_owned(),
-        );
-        return session;
-    }
-
-    // Generation bump under the lock: read, increment, write back
-    // atomically (temp + rename, like every other cache write).
-    let path = gen_path(dir);
-    let current = fs::read(&path)
-        .ok()
-        .filter(|b| b.len() == 8)
-        .map(|b| u64::from_le_bytes(b[..8].try_into().expect("8 bytes")))
-        .unwrap_or(0);
-    let next = current.wrapping_add(1).max(1);
-    let tmp = dir.join(format!(".qinc.gen.tmp-{}", std::process::id()));
-    let mut attempt = 0u32;
-    loop {
-        let wrote = fs::write(&tmp, next.to_le_bytes())
-            .and_then(|()| fs::rename(&tmp, &path));
-        match wrote {
-            Ok(()) => {
-                session.generation = next;
-                break;
-            }
-            Err(_) if attempt < policy.max_retries => {
-                attempt += 1;
-                std::thread::sleep(RetryPolicy::backoff(attempt));
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                add_diag(
-                    &mut session,
-                    format!(
-                        "cache generation counter unwritable ({e}); entries will carry generation 0"
-                    ),
-                );
-                break;
-            }
-        }
-    }
-    session
+    None
 }
 
 #[cfg(test)]
@@ -833,56 +622,6 @@ mod tests {
         // current version.
         store(&dir, &key, b"new summary", 4, NO_RETRY).unwrap();
         assert!(matches!(load(&dir, &key, NO_RETRY).0, Load::Payload { .. }));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sessions_bump_generations_and_release_the_lock() {
-        let dir = tmpdir("session");
-        let a = open_session(&dir, RetryPolicy::default());
-        assert_eq!(a.generation, 1, "{a:?}");
-        assert!(!a.lockless);
-        let b = open_session(&dir, RetryPolicy::default());
-        assert_eq!(b.generation, 2, "lock must have been released: {b:?}");
-        assert!(!lock_path(&dir).exists(), "guard removes the lock file");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_locks_are_stolen_not_waited_on_forever() {
-        let dir = tmpdir("steal");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(lock_path(&dir), b"pid 0\n").unwrap();
-        // Backdate the lock by making it look old: set mtime via a
-        // wait would be slow, so exercise the non-stale path instead —
-        // a *fresh* foreign lock bounds the wait and degrades lockless.
-        let s = open_session(&dir, RetryPolicy::default());
-        assert!(s.lockless, "fresh foreign lock within wait budget: {s:?}");
-        assert!(s.diag.is_some());
-        assert!(s.lock_wait_ms >= LOCK_MAX_WAIT.as_millis() as u64 / 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn concurrent_sessions_never_deadlock_or_collide() {
-        let dir = tmpdir("concurrent");
-        let gens: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| open_session(&dir, RetryPolicy::default())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("session thread").generation)
-                .collect()
-        });
-        // Every locked session got a distinct generation; lockless
-        // degradations (possible under extreme scheduling) report 0.
-        let mut locked: Vec<u64> = gens.iter().copied().filter(|&g| g != 0).collect();
-        locked.sort_unstable();
-        let before = locked.len();
-        locked.dedup();
-        assert_eq!(locked.len(), before, "locked generations are unique: {gens:?}");
-        assert!(!locked.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -90,8 +90,7 @@ pub struct IncrConfig {
     /// disables deadlines.
     pub unit_deadline_ms: Option<u64>,
     /// Additional attempts after a transient cache I/O failure
-    /// (0 = fail fast). Applies to entry reads, entry writes, and the
-    /// session generation bump.
+    /// (0 = fail fast). Applies to entry reads and entry writes.
     pub max_retries: u32,
     /// Per-unit memory budget in MiB (`--memory-budget-mb`). A unit
     /// whose gross allocation exceeds it is quarantined with a
@@ -140,17 +139,8 @@ pub struct IncrStats {
     /// Units quarantined after a worker panic (analysis degraded, run
     /// continued).
     pub quarantined: usize,
-    /// Cache I/O retries spent across all loads, stores, and the
-    /// session open.
+    /// Cache I/O retries spent across all loads and stores.
     pub retries: u64,
-    /// Time spent waiting on the shared cache's advisory lock, in
-    /// milliseconds.
-    pub lock_wait_ms: u64,
-    /// Stale cache locks stolen from dead sessions.
-    pub lock_steals: u32,
-    /// This run's cache generation (0 = no cache or counter
-    /// unreachable).
-    pub generation: u64,
 }
 
 /// The result of an incremental run — the same counts, positions, and
@@ -219,8 +209,6 @@ struct UnitCtx<'a> {
     sema: &'a Sema,
     space: &'a QualSpace,
     cfg: &'a IncrConfig,
-    /// This session's cache generation (stamped into stored entries).
-    generation: u64,
     policy: RetryPolicy,
     /// Disk-full degrade latch (retry suppression while degraded).
     health: &'a cache::Health,
@@ -454,28 +442,27 @@ fn plan_units(src: &str, cfg: &IncrConfig) -> Planned {
 /// Runs the incremental analysis end to end. Never panics on bad input
 /// or bad cache state; every fault is a structured diagnostic.
 ///
-/// Opens a fresh cache [session](Driver) per call; a long-lived process
+/// Prepares the cache directory afresh per call; a long-lived process
 /// serving many analyses (the `cquald` daemon) keeps one [`Driver`]
-/// instead so the session — the advisory lock accounting and the
-/// generation stamped into stored entries — is opened once.
+/// instead so the directory is prepared once and the disk-full latch
+/// spans every analysis.
 #[must_use]
 pub fn analyze_source_incremental(src: &str, cfg: &IncrConfig) -> IncrOutcome {
     Driver::new(cfg).analyze(src)
 }
 
-/// A resident analysis session: the QINC cache session opened once
-/// (crash-debris sweep, advisory lock, generation bump), then reused
-/// across any number of analyses. Scheduling is session-independent —
-/// every [`Driver::analyze_with`] call plans and executes its own units
+/// A resident analysis session: the QINC cache directory prepared once
+/// (created, crash debris swept), then reused across any number of
+/// analyses. Scheduling is session-independent — every
+/// [`Driver::analyze_with`] call plans and executes its own units
 /// against the shared session, so concurrent callers (the daemon's
-/// worker threads) only share immutable state.
+/// worker threads) only share immutable state and the disk-full latch.
 #[derive(Debug)]
 pub struct Driver {
     cfg: IncrConfig,
-    generation: u64,
-    lock_wait_ms: u64,
-    lock_steals: u32,
-    session_diag: Option<String>,
+    /// The "unusable" note when the cache directory cannot be created;
+    /// every analysis reports it.
+    cache_note: Option<String>,
     /// Disk-full degrade latch, shared by every analysis in the
     /// session: one diagnostic per ENOSPC episode, a heal note when
     /// space returns, and retry suppression while degraded.
@@ -483,64 +470,17 @@ pub struct Driver {
 }
 
 impl Driver {
-    /// Opens the cache session (when `cfg.cache_dir` is set) and fixes
-    /// the session-level knobs. Never fails: session trouble degrades
-    /// to a lockless generation-0 session with a diagnostic that every
-    /// subsequent analysis reports.
+    /// Prepares the cache directory (when `cfg.cache_dir` is set) and
+    /// fixes the session-level knobs. Never fails: an unusable
+    /// directory becomes a note that every subsequent analysis
+    /// reports.
     #[must_use]
     pub fn new(cfg: &IncrConfig) -> Driver {
-        let policy = RetryPolicy {
-            max_retries: cfg.max_retries,
-        };
-        let mut driver = Driver {
+        Driver {
             cfg: cfg.clone(),
-            generation: 0,
-            lock_wait_ms: 0,
-            lock_steals: 0,
-            session_diag: None,
+            cache_note: cfg.cache_dir.as_deref().and_then(cache::prepare_dir),
             cache_health: cache::Health::new(),
-        };
-        if let Some(dir) = &cfg.cache_dir {
-            // The session opens on the driver thread, outside any worker
-            // supervisor, so contain its panics (injected or real) here:
-            // a failed open degrades to a lockless, generation-0 session.
-            let session = catch_unwind(AssertUnwindSafe(|| {
-                cache::open_session(dir, policy)
-            }))
-            .unwrap_or_else(|_| cache::Session {
-                lockless: true,
-                diag: Some(
-                    "cache session open panicked; proceeding without a session"
-                        .to_owned(),
-                ),
-                ..cache::Session::default()
-            });
-            driver.generation = session.generation;
-            driver.lock_wait_ms = session.lock_wait_ms;
-            driver.lock_steals = session.lock_steals;
-            driver.session_diag = session.diag;
         }
-        driver
-    }
-
-    /// This session's cache generation (0 = no cache or counter
-    /// unreachable).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Whether the session's cache is currently in a disk-full degrade
-    /// episode (analyses continue uncached until space returns).
-    #[must_use]
-    pub fn cache_degraded(&self) -> bool {
-        self.cache_health.degraded()
-    }
-
-    /// Disk-full degrade episodes begun this session.
-    #[must_use]
-    pub fn cache_degrade_episodes(&self) -> u64 {
-        self.cache_health.episodes()
     }
 
     /// Analyzes one source under the session's own configuration.
@@ -550,10 +490,9 @@ impl Driver {
     }
 
     /// Analyzes one source with per-request knob overrides (mode,
-    /// options, budgets, jobs, deadlines). The cache session itself —
-    /// directory, retry policy, generation — always comes from the
-    /// `Driver`, so a per-request `cfg` cannot detach an analysis from
-    /// the resident session.
+    /// options, budgets, jobs, deadlines). The cache directory and retry
+    /// policy always come from the `Driver`, so a per-request `cfg`
+    /// cannot detach an analysis from the resident session.
     #[must_use]
     pub fn analyze_with(&self, src: &str, overrides: &IncrConfig) -> IncrOutcome {
         let cfg = IncrConfig {
@@ -584,25 +523,20 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         units: plans.len(),
         wavefronts: fronts.len(),
         jobs,
-        generation: driver.generation,
-        lock_wait_ms: driver.lock_wait_ms,
-        lock_steals: driver.lock_steals,
         ..IncrStats::default()
     };
     let mut cache_diags: Vec<Diagnostic> = Vec::new();
-    if let Some(msg) = &driver.session_diag {
+    if let Some(msg) = &driver.cache_note {
         cache_diags.push(Diagnostic::warning(Phase::Infer, format!("cache: {msg}")));
     }
     let policy = RetryPolicy {
         max_retries: cfg.max_retries,
     };
-    let generation = driver.generation;
     let ctx = UnitCtx {
         prog: &program,
         sema: &sema,
         space: &space,
         cfg,
-        generation,
         policy,
         health: &driver.cache_health,
     };
@@ -926,9 +860,6 @@ fn record_run_metrics(
     qual_obs::count("cache.stored", stats.stored as u64);
     qual_obs::count("cache.quarantined", stats.quarantined as u64);
     qual_obs::count("cache.retries", stats.retries);
-    qual_obs::count("cache.lock_wait_ms", stats.lock_wait_ms);
-    qual_obs::count("cache.lock_steals", u64::from(stats.lock_steals));
-    qual_obs::peak("cache.generation", stats.generation);
     // Allocator gauges (zero unless the binary installs the tracking
     // allocator shim): operational, never part of the fingerprint.
     qual_obs::peak("mem.peak_bytes", qual_obs::mem::peak_bytes());
@@ -955,13 +886,9 @@ pub fn cache_stats_lines(report: &qual_obs::Report) -> [String; 2] {
             c("analysis.merged_constraints"),
         ),
         format!(
-            "generation {}, {} retry(ies), {} quarantined unit(s), \
-             lock wait {} ms, {} stale lock(s) stolen",
-            report.peak_value("cache.generation"),
+            "{} retry(ies), {} quarantined unit(s)",
             c("cache.retries"),
             c("cache.quarantined"),
-            c("cache.lock_wait_ms"),
-            c("cache.lock_steals"),
         ),
     ]
 }
@@ -1182,11 +1109,13 @@ fn execute_one(
             } else {
                 ctx.policy
             };
+            // Generation 0 from every writer keeps "same key ⇒ same
+            // bytes" true across processes.
             match cache::store(
                 dir,
                 &plan.key,
                 &encode_summary(&summary),
-                ctx.generation,
+                0,
                 policy,
             ) {
                 Ok(store_retries) => {

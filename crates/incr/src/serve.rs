@@ -1,15 +1,15 @@
 //! `cquald`: a crash-only resident analysis server.
 //!
 //! One long-lived process owns a unix-domain socket and an in-memory
-//! analysis session (a [`Driver`] holding the QINC cache session plus a
+//! analysis session (a [`Driver`] over the QINC cache directory plus a
 //! bounded memo of recent reports). Thin `cqual --connect` clients send
 //! QSP1 server frames ([`proto::Frame::Analyze`] and friends) and print
 //! the returned [`ReportFrame`] byte-identically to a local run.
 //!
 //! The design is *crash-only*: there is no shutdown path whose loss
 //! corrupts anything. All durable state lives in the QINC cache, which
-//! is already crash-safe (temp+rename stores, advisory lock with a
-//! staleness bound), so `kill -9` at any instant costs at most the
+//! is already crash-safe (content-addressed, checksummed temp+rename
+//! stores), so `kill -9` at any instant costs at most the
 //! requests in flight — a restarted daemon steals the stale socket and
 //! serves warm from the same cache, and a client that cannot reach the
 //! daemon degrades to in-process analysis.
@@ -816,11 +816,7 @@ fn request_key(req: &AnalyzeReq) -> Key {
     let mut h = KeyHasher::new();
     h.str("serve-request-v2");
     h.str(&req.src);
-    h.u64(match req.mode {
-        Mode::Monomorphic => 0,
-        Mode::Polymorphic => 1,
-        Mode::PolymorphicRecursive => 2,
-    });
+    h.str(req.mode.name());
     h.str(&req.quals);
     h.bool(req.verify);
     h.finish()
@@ -1133,7 +1129,6 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
             "serve.inflight",
             u64::from(shared.inflight.load(Ordering::SeqCst)),
         ),
-        ("serve.generation", shared.driver.generation()),
         ("serve.accept_emfile", load(&s.accept_emfile)),
     ]
     .into_iter()

@@ -269,6 +269,34 @@ fn corrupt_cache_entries_degrade_to_cold_with_a_note() {
 }
 
 #[test]
+fn an_unusable_cache_dir_is_one_note_not_a_different_report() {
+    let dir = TempDir::new("unusable-cache");
+    dir.write(
+        "u.c",
+        "int helper(const char *s) { return *s; }\n\
+         int user(char *p) { return helper(p); }\n",
+    );
+    dir.write("plain-file", "");
+    let file = dir.0.join("u.c");
+    let file = file.to_str().unwrap();
+    // Nothing can create a directory below a regular file.
+    let cache = dir.0.join("plain-file").join("cache");
+
+    let uncached = cqual(&[file]);
+    assert_eq!(uncached.status.code(), Some(0));
+    let cached = cqual(&["--cache-dir", cache.to_str().unwrap(), file]);
+    assert_eq!(
+        String::from_utf8_lossy(&cached.stdout),
+        String::from_utf8_lossy(&uncached.stdout),
+        "an unusable cache must not change the report"
+    );
+    assert_eq!(cached.status.code(), uncached.status.code());
+    let stderr = String::from_utf8_lossy(&cached.stderr);
+    let note = format!("cache directory {} is unusable", cache.display());
+    assert_eq!(stderr.matches(&note).count(), 1, "{stderr}");
+}
+
+#[test]
 fn verify_with_jobs_certifies_the_merged_system() {
     let dir = TempDir::new("verify-jobs");
     dir.write(

@@ -1,13 +1,15 @@
 //! Concurrent shared-cache stress: several analyses pounding one cache
 //! directory — in-process threads and separate OS processes — must
-//! never corrupt an entry, never deadlock on the advisory lock, and all
-//! report identical analysis results.
+//! never corrupt an entry and must all report identical analysis
+//! results.
 //!
 //! Entry safety rests on content-addressed names plus atomic
-//! temp-and-rename publication (two writers of one key write identical
-//! bytes); the advisory lock only serializes the generation counter,
-//! and is itself allowed to degrade. These tests exercise both claims.
+//! temp-and-rename publication, which is sound because two writers of
+//! one key write identical bytes. These tests pin that claim directly:
+//! whatever a stampede leaves behind, and whatever a later cold store
+//! rewrites, is byte-for-byte what one cold run writes.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -27,6 +29,7 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
+/// One analysis through a fresh driver over `dir`.
 fn run(dir: &Path) -> IncrOutcome {
     analyze_source_incremental(
         SRC,
@@ -36,6 +39,76 @@ fn run(dir: &Path) -> IncrOutcome {
             ..IncrConfig::default()
         },
     )
+}
+
+/// Every `*.qinc` entry in `dir`: file name to bytes.
+fn entries(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("cache dir exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "qinc"))
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).expect("read cache entry"))
+        })
+        .collect()
+}
+
+/// Asserts two entry sets hold the same names with the same bytes,
+/// naming the first entry that differs rather than dumping bytes.
+fn assert_same_entries(
+    got: &BTreeMap<String, Vec<u8>>,
+    want: &BTreeMap<String, Vec<u8>>,
+    what: &str,
+) {
+    assert!(!want.is_empty(), "{what}: the reference run stored nothing");
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>(),
+        "{what}: entry names differ"
+    );
+    for (name, bytes) in want {
+        let other = &got[name];
+        let at = bytes.iter().zip(other).position(|(a, b)| a != b);
+        assert!(
+            bytes == other,
+            "{what}: entry {name} differs (got {} bytes, want {}, first difference at {at:?})",
+            other.len(),
+            bytes.len()
+        );
+    }
+}
+
+/// The entries one cold in-process run writes into a fresh directory.
+fn reference_entries(tag: &str) -> BTreeMap<String, Vec<u8>> {
+    let dir = scratch(tag);
+    let out = run(&dir);
+    assert_eq!(out.stats.stored, out.stats.units, "{:?}", out.cache_diags);
+    let e = entries(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    e
+}
+
+#[test]
+fn a_second_cold_store_of_a_unit_writes_identical_bytes() {
+    let dir = scratch("restore");
+    let first = run(&dir);
+    assert_eq!(
+        first.stats.stored, first.stats.units,
+        "{:?}",
+        first.cache_diags
+    );
+    let snapshot = entries(&dir);
+    for name in snapshot.keys() {
+        std::fs::remove_file(dir.join(name)).expect("remove cache entry");
+    }
+    let second = run(&dir);
+    assert_eq!(
+        second.stats.analyzed, second.stats.units,
+        "entries were removed"
+    );
+    assert_same_entries(&entries(&dir), &snapshot, "re-store by a new driver");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -64,17 +137,13 @@ fn threads_sharing_one_cache_dir_agree_and_corrupt_nothing() {
             "thread {i}: every unit accounted for"
         );
     }
-    // Racing sessions each got a distinct generation (or degraded to
-    // lockless, generation 0 — allowed, but never two the same).
-    let mut gens: Vec<u64> = outs
-        .iter()
-        .map(|o| o.stats.generation)
-        .filter(|&g| g != 0)
-        .collect();
-    gens.sort_unstable();
-    let n = gens.len();
-    gens.dedup();
-    assert_eq!(gens.len(), n, "locked generations are unique");
+    // Whichever writer won each rename, every entry is the one a lone
+    // cold run writes.
+    assert_same_entries(
+        &entries(&dir),
+        &reference_entries("threads-ref"),
+        "thread stampede",
+    );
 
     // And the dust settles into a fully warm cache.
     let after = run(&dir);
@@ -87,7 +156,8 @@ fn threads_sharing_one_cache_dir_agree_and_corrupt_nothing() {
 fn n_processes_sharing_one_cache_dir() {
     // Five racing cold processes all pounding one cache directory.
     // However the writes interleave, no entry may tear, every process
-    // must report identically, and locked generations must stay unique.
+    // must report identically, and every entry must be the one a lone
+    // cold process writes.
     const N: usize = 5;
     let dir = scratch("procs");
     let src_file = std::env::temp_dir().join(format!(
@@ -96,7 +166,7 @@ fn n_processes_sharing_one_cache_dir() {
     ));
     std::fs::write(&src_file, SRC).expect("write source file");
 
-    let spawn = || {
+    let spawn_in = |dir: &Path| {
         Command::new(env!("CARGO_BIN_EXE_cqual"))
             .args([
                 "--jobs",
@@ -108,6 +178,7 @@ fn n_processes_sharing_one_cache_dir() {
             ])
             .output()
     };
+    let spawn = || spawn_in(&dir);
     let outs: Vec<std::process::Output> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..N).map(|_| s.spawn(spawn)).collect();
         handles
@@ -140,23 +211,11 @@ fn n_processes_sharing_one_cache_dir() {
             "process {i} reports differently"
         );
     }
-    // Generation accounting stays stable under the stampede: each
-    // locked session took a distinct generation (degraded lockless
-    // sessions report generation 0 and are exempt, but never collide).
-    let mut gens: Vec<u64> = outs
-        .iter()
-        .filter_map(|out| {
-            String::from_utf8_lossy(&out.stdout).lines().find_map(|l| {
-                let rest = l.strip_prefix("cqual: cache: generation ")?;
-                rest.split(',').next()?.trim().parse::<u64>().ok()
-            })
-        })
-        .filter(|&g| g != 0)
-        .collect();
-    gens.sort_unstable();
-    let n_locked = gens.len();
-    gens.dedup();
-    assert_eq!(gens.len(), n_locked, "locked generations are unique");
+    let ref_dir = scratch("procs-ref");
+    let lone = spawn_in(&ref_dir).expect("spawn cqual");
+    assert_eq!(lone.status.code(), Some(0));
+    assert_same_entries(&entries(&dir), &entries(&ref_dir), "process stampede");
+    let _ = std::fs::remove_dir_all(&ref_dir);
 
     // ...then a warm run re-solves nothing: whatever interleaving the
     // writers had, every published entry is whole and certified.

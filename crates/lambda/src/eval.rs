@@ -445,23 +445,6 @@ fn value_to_expr(v: &Value, span: Span) -> Expr {
     }
 }
 
-/// Convenience: are two closed programs observationally equal on ints?
-/// (Used in tests.)
-#[must_use]
-pub fn eval_to_int(src: &str, space: &QualSpace, fuel: u64) -> Option<i64> {
-    let e = crate::parser::parse(src, space).ok()?;
-    match eval(&e, space, fuel) {
-        Ok((
-            Value {
-                shape: VShape::Int(n),
-                ..
-            },
-            _,
-        )) => Some(n),
-        _ => None,
-    }
-}
-
 /// Counts assertion/annotation checks that would be needed dynamically —
 /// a small utility used by examples to contrast static checking with
 /// dynamic checking (Purify/assert-style, §1).
