@@ -21,9 +21,15 @@
 //!               [--timings-warn-only] [--jobs N]
 //! ```
 //!
+//! One timing check is an ordering, not a threshold, and holds even
+//! under `--timings-warn-only`: a profile's memo-warm served request
+//! (`serve_warm_ns`) must be faster than its cold one (`serve_cold_ns`),
+//! since the warm one runs no analysis.
+//!
 //! Exit codes: 0 clean; 1 count drift; 2 timing regression (unless
 //! `--timings-warn-only`); 3 a benchmark failed to produce a certified
-//! row; 4 bad usage or an unwritable output.
+//! row, or a memo-warm served request was not faster than its cold one;
+//! 4 bad usage or an unwritable output.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -249,6 +255,14 @@ fn main() -> ExitCode {
             );
             bench_failed = true;
             continue;
+        }
+        if serve_warm_ns >= serve_cold_ns {
+            eprintln!(
+                "bench-regress: `{}`: the memo-warm served request took {serve_warm_ns} ns, \
+                 not less than the cold one's {serve_cold_ns} ns",
+                p.name
+            );
+            bench_failed = true;
         }
         incr_rows.push(Json::Obj(vec![
             ("name".to_owned(), Json::Str(p.name.to_owned())),

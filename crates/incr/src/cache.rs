@@ -50,7 +50,7 @@ use std::time::Duration;
 
 use qual_constinfer::summary::FORMAT_VERSION;
 use qual_faultpoint::FaultKind;
-use qual_solve::wire::{self, fnv1a, Reader, WireError, Writer, FNV_OFFSET};
+use qual_solve::wire::{self, Reader, WireError, Writer, FNV_OFFSET, FNV_PRIME};
 
 const MAGIC: &[u8; 4] = b"QINC";
 /// Container header size: magic + version + generation + length + checksum.
@@ -100,11 +100,22 @@ impl KeyHasher {
         }
     }
 
+    /// Folds `bytes` into both streams in one pass: the two FNV-1a
+    /// multiply chains are independent, so the CPU overlaps them.
+    fn mix(&mut self, bytes: &[u8]) {
+        let (mut a, mut b) = (self.a, self.b);
+        for &x in bytes {
+            a = (a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+        }
+        self.a = a;
+        self.b = b;
+    }
+
     /// Mixes raw bytes (framed with their length).
     pub fn bytes(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
-        self.a = fnv1a(self.a, bytes);
-        self.b = fnv1a(self.b, bytes);
+        self.mix(bytes);
     }
 
     /// Mixes a string (framed).
@@ -114,8 +125,7 @@ impl KeyHasher {
 
     /// Mixes a `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.a = fnv1a(self.a, &v.to_le_bytes());
-        self.b = fnv1a(self.b, &v.to_le_bytes());
+        self.mix(&v.to_le_bytes());
     }
 
     /// Mixes a `bool`.

@@ -76,7 +76,8 @@ impl std::error::Error for WireError {}
 
 /// The FNV-1a offset basis (64-bit).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The FNV-1a prime (64-bit).
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into the 64-bit FNV-1a state `seed`.
 #[must_use]
