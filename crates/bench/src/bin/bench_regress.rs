@@ -298,12 +298,7 @@ fn main() -> ExitCode {
     // shifts what any space infers shows up as count drift here, and a
     // solve that silently stopped being single-pass shows up in the
     // (advisory) timing ratio against the const-only row.
-    const QUAL_SETS: &[&str] = &[
-        "const",
-        "const,nonnull",
-        "tainted",
-        "const,nonnull,tainted,linear",
-    ];
+    const QUAL_SETS: &[&str] = &["const", "const,nonnull", "tainted", "const,nonnull,tainted"];
     let mut qual_rows = Vec::new();
     for p in &profiles {
         let src = qual_cgen::generate(p);

@@ -219,13 +219,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// The `--qual` sets the matrix certifies: the default, a positive +
-/// negative pair, taint alone, and all four spaces at once.
-const QUAL_SETS: &[&str] = &[
-    "const",
-    "const,nonnull",
-    "tainted",
-    "const,nonnull,tainted,linear",
-];
+/// negative pair, taint alone, and all three spaces at once.
+const QUAL_SETS: &[&str] = &["const", "const,nonnull", "tainted", "const,nonnull,tainted"];
 
 fn qual_cases() -> u32 {
     std::env::var("QUAL_QUAL_ORACLE_CASES")
@@ -379,10 +374,10 @@ proptest! {
         let a = run("const");
         prop_assert_eq!(a.stats.reused, 0);
         // A different set sees a cold cache — not one hit may alias.
-        let b = run("const,nonnull,tainted,linear");
+        let b = run("const,nonnull,tainted");
         prop_assert_eq!(
             b.stats.reused, 0,
-            "four-space run reused {} const-only summaries",
+            "three-space run reused {} const-only summaries",
             b.stats.reused
         );
         prop_assert!(b.cache_diags.is_empty(), "{:?}", b.cache_diags);
@@ -392,7 +387,7 @@ proptest! {
         prop_assert_eq!(
             qual_fingerprint(&src, &a),
             qual_fingerprint(&src, &c),
-            "const results corrupted by the interleaved four-space run"
+            "const results corrupted by the interleaved three-space run"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

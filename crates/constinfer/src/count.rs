@@ -715,16 +715,15 @@ mod tests {
     }
 
     #[test]
-    fn four_space_analysis_keeps_const_classification() {
-        let space =
-            crate::quals::space_for("const,nonnull,tainted,linear").unwrap();
+    fn three_space_analysis_keeps_const_classification() {
+        let space = crate::quals::space_for("const,nonnull,tainted").unwrap();
         let r = analyze_source_in(
             "int f(const char *s, char *t) { *t = *s; return 0; }",
             &space,
             Mode::Monomorphic,
         )
         .unwrap();
-        assert_eq!(r.qual_counts.len(), 4);
+        assert_eq!(r.qual_counts.len(), 3);
         // Masked coordinates do not interfere: the const column matches
         // the single-qualifier run.
         assert_eq!(r.counts.inferred, 1);

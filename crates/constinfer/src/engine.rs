@@ -857,18 +857,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The arith choice point: pointer arithmetic duplicates the
-    /// reference, which substructural coordinates (`linear`, `affine`)
-    /// forbid.
-    fn arith_check(&mut self, ptr: QcId, e: &Expr) {
-        for i in 0..self.rules.arith_forbids.len() {
-            let (id, label) = self.rules.arith_forbids[i];
-            let q = self.arena.get(ptr).qual;
-            self.cs
-                .add_masked(q, self.space.not_q(id), &[id], Self::prov(e, label));
-        }
-    }
-
     /// The null-pointer-constant rule (C90 §6.2.2.3): the literal `0`
     /// is null only where it flows into *pointer* context. An
     /// int-valued zero — a loop counter, a K&R int/pointer pun through
@@ -891,7 +879,7 @@ impl<'a> Engine<'a> {
     /// The call choice point for library functions: sink arguments must
     /// not carry a forbidden coordinate (`tainted` at `system`), and
     /// source returns are seeded (`getenv` tainted, allocators
-    /// possibly-null and linearly owned).
+    /// possibly-null).
     fn library_call_rules(&mut self, fname: &str, args: &[EVal], ret: QcId, e: &Expr) {
         for i in 0..self.rules.sink_forbids.len() {
             let rule = self.rules.sink_forbids[i];
@@ -1193,10 +1181,8 @@ impl<'a> Engine<'a> {
                         // Pointer arithmetic aliases the same cells: keep
                         // the pointer operand's node.
                         if matches!(self.arena.get(va.rty).shape, QcShape::Ref(_)) {
-                            self.arith_check(va.rty, e);
                             EVal::rvalue(va.rty)
                         } else if matches!(self.arena.get(vb.rty).shape, QcShape::Ref(_)) {
-                            self.arith_check(vb.rty, e);
                             EVal::rvalue(vb.rty)
                         } else {
                             EVal::rvalue(self.fresh_val())

@@ -34,11 +34,8 @@ pub struct QualDef {
     /// absent for negative `nonnull`). The string is the provenance
     /// label diagnostics render.
     pub deref_forbid: Option<&'static str>,
-    /// Arith choice point: pointer arithmetic duplicates the reference,
-    /// which a substructural qualifier forbids.
-    pub arith_forbid: Option<&'static str>,
     /// Call choice point, producer side: library functions whose return
-    /// value is seeded with the qualifier's bad/owned state.
+    /// value is seeded with the qualifier's bad state.
     pub seed_sources: &'static [&'static str],
     /// Provenance label for [`QualDef::seed_sources`] seeds.
     pub source_label: &'static str,
@@ -56,8 +53,7 @@ pub struct QualDef {
     pub counter_must: &'static str,
 }
 
-/// Standard allocator functions: their returns are fresh (linearly
-/// owned) and may be null.
+/// Standard allocator functions: their returns may be null.
 const ALLOCATORS: &[&str] = &["malloc", "calloc", "realloc"];
 
 /// Library functions whose returns carry attacker-controlled data.
@@ -71,13 +67,9 @@ const TAINT_SINKS: &[&str] = &[
 
 /// The built-in catalog, in canonical declaration order.
 ///
-/// `relevant` registers no choice-point rule: its discipline (every
-/// reference used at least once) is a *liveness* property that none of
-/// the four flow choice points can observe, so it participates only as
-/// a lattice coordinate. `linear` is the meet of `affine` (use at most
-/// once) and `relevant` in the substructural diamond; as a single
-/// coordinate here it carries the duplication rule, and requesting
-/// `--qual affine,relevant` yields the diamond as a genuine product.
+/// Every entry registers at least one choice-point rule: a qualifier
+/// whose discipline no rule enforces would check nothing, so it has no
+/// entry here.
 pub static BUILTINS: &[QualDef] = &[
     QualDef {
         name: "const",
@@ -85,7 +77,6 @@ pub static BUILTINS: &[QualDef] = &[
         summary: "C const: no writes through qualified references (§4)",
         forbid_write: true,
         deref_forbid: None,
-        arith_forbid: None,
         seed_sources: &[],
         source_label: "",
         sink_forbids: &[],
@@ -100,7 +91,6 @@ pub static BUILTINS: &[QualDef] = &[
         summary: "pointer is never null; deref of possibly-null is flagged",
         forbid_write: false,
         deref_forbid: Some("dereference of possibly-null pointer"),
-        arith_forbid: None,
         seed_sources: ALLOCATORS,
         source_label: "may return null",
         sink_forbids: &[],
@@ -115,7 +105,6 @@ pub static BUILTINS: &[QualDef] = &[
         summary: "attacker-controlled data; must not reach sinks or be deref'd",
         forbid_write: false,
         deref_forbid: Some("dereference of tainted value"),
-        arith_forbid: None,
         seed_sources: TAINT_SOURCES,
         source_label: "tainted source",
         sink_forbids: TAINT_SINKS,
@@ -123,51 +112,6 @@ pub static BUILTINS: &[QualDef] = &[
         null_seed: None,
         counter_may: "analysis.tainted.may",
         counter_must: "analysis.tainted.must",
-    },
-    QualDef {
-        name: "linear",
-        polarity: Polarity::Positive,
-        summary: "owned exactly once; pointer arithmetic may not duplicate it",
-        forbid_write: false,
-        deref_forbid: None,
-        arith_forbid: Some("pointer arithmetic duplicates a linear reference"),
-        seed_sources: ALLOCATORS,
-        source_label: "fresh allocation",
-        sink_forbids: &[],
-        sink_label: "",
-        null_seed: None,
-        counter_may: "analysis.linear.may",
-        counter_must: "analysis.linear.must",
-    },
-    QualDef {
-        name: "affine",
-        polarity: Polarity::Positive,
-        summary: "used at most once; pointer arithmetic may not duplicate it",
-        forbid_write: false,
-        deref_forbid: None,
-        arith_forbid: Some("pointer arithmetic duplicates an affine reference"),
-        seed_sources: ALLOCATORS,
-        source_label: "fresh allocation",
-        sink_forbids: &[],
-        sink_label: "",
-        null_seed: None,
-        counter_may: "analysis.affine.may",
-        counter_must: "analysis.affine.must",
-    },
-    QualDef {
-        name: "relevant",
-        polarity: Polarity::Positive,
-        summary: "used at least once; lattice coordinate only (no flow rule)",
-        forbid_write: false,
-        deref_forbid: None,
-        arith_forbid: None,
-        seed_sources: &[],
-        source_label: "",
-        sink_forbids: &[],
-        sink_label: "",
-        null_seed: None,
-        counter_may: "analysis.relevant.may",
-        counter_must: "analysis.relevant.must",
     },
 ];
 
@@ -211,7 +155,7 @@ impl std::fmt::Display for QualSetError {
 impl std::error::Error for QualSetError {}
 
 /// Builds the [`QualSpace`] for a comma-separated `--qual` list, e.g.
-/// `"const,nonnull,tainted,linear"`. Names keep the order given (the
+/// `"const,nonnull,tainted"`. Names keep the order given (the
 /// order fixes coordinate indices, report columns, and the cache key),
 /// and every name must be a catalog entry.
 ///
@@ -279,6 +223,7 @@ pub fn list_builtins() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quals::ActiveRules;
 
     #[test]
     fn every_builtin_resolves_by_name() {
@@ -329,7 +274,7 @@ mod tests {
 
     #[test]
     fn space_names_round_trips() {
-        for list in ["const", "const,nonnull,tainted,linear", "affine,relevant"] {
+        for list in ["const", "const,nonnull,tainted", "tainted,nonnull"] {
             let s = space_for(list).unwrap();
             assert_eq!(space_names(&s), list);
             assert_eq!(space_for(&space_names(&s)).unwrap(), s);
@@ -342,6 +287,21 @@ mod tests {
         for d in builtins() {
             assert!(table.contains(d.name), "{table}");
             assert!(table.contains(d.summary), "{table}");
+        }
+    }
+
+    #[test]
+    fn every_builtin_registers_a_rule() {
+        for d in builtins() {
+            let r = ActiveRules::compile(&space_for(d.name).unwrap());
+            let lists = [
+                r.write_forbids.len(),
+                r.deref_forbids.len(),
+                r.null_seeds.len(),
+                r.source_seeds.len(),
+                r.sink_forbids.len(),
+            ];
+            assert!(lists.iter().any(|&n| n > 0), "`{}` checks nothing", d.name);
         }
     }
 

@@ -4,12 +4,12 @@
 //! The paper's thesis (§2) is *user-defined* type qualifiers, and §2.4
 //! fixes the "choice points" where a qualifier's discipline hooks into
 //! the type rules: assignment, function call, dereference, and
-//! arithmetic. This module makes those hooks concrete for the C engine:
+//! arithmetic. This module makes the first three concrete for the C
+//! engine (no built-in constrains arithmetic):
 //!
 //! * [`catalog`] — the built-in qualifier definitions (`const`,
-//!   `nonnull`, `tainted`, and the substructural `relevant`/`affine`/
-//!   `linear` family), each carrying its polarity, a one-line summary,
-//!   and the checking rules it registers at the choice points;
+//!   `nonnull`, `tainted`), each carrying its polarity, a one-line
+//!   summary, and the checking rules it registers at the choice points;
 //! * [`rules`] — [`ActiveRules`], the per-engine
 //!   compilation of a [`QualSpace`] into flat rule lists the
 //!   constraint-generation hot path iterates without any name lookups.
@@ -20,7 +20,7 @@
 //!
 //! * **forbid** — `Q ⊑ ¬q` masked to `q`'s coordinate: the §2.4
 //!   restriction generalized (write-through-`const`, deref-of-`tainted`,
-//!   deref-of-possibly-null, pointer-arithmetic on `linear`);
+//!   deref-of-possibly-null, `tainted` at a sink argument);
 //! * **seed** — a masked constant lower bound putting `q`'s coordinate
 //!   at the top of its two-point lattice (a `tainted` source return, a
 //!   may-return-null allocator, the `0` literal for `nonnull`).
@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn presence_must_implies_may_everywhere() {
-        let space = space_for("const,nonnull,tainted,linear").unwrap();
+        let space = space_for("const,nonnull,tainted").unwrap();
         for (id, _) in space.iter() {
             for lo in space.elements() {
                 for hi in space.elements() {

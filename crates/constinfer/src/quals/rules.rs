@@ -42,9 +42,6 @@ pub struct ActiveRules {
     /// Deref: `(coordinate, label)` forbidden on the dereferenced
     /// pointer value.
     pub deref_forbids: Vec<(QualId, &'static str)>,
-    /// Arith: `(coordinate, label)` forbidden on a pointer-arithmetic
-    /// operand.
-    pub arith_forbids: Vec<(QualId, &'static str)>,
     /// The `0` literal seeds these coordinates (null pointer constant).
     pub null_seeds: Vec<(QualId, &'static str)>,
     /// Library returns seeding a coordinate.
@@ -68,9 +65,6 @@ impl ActiveRules {
             if let Some(label) = def.deref_forbid {
                 rules.deref_forbids.push((id, label));
             }
-            if let Some(label) = def.arith_forbid {
-                rules.arith_forbids.push((id, label));
-            }
             if let Some(label) = def.null_seed {
                 rules.null_seeds.push((id, label));
             }
@@ -91,21 +85,10 @@ impl ActiveRules {
         }
         rules
     }
-
-    /// Whether no rule of any kind is active (e.g. `--qual relevant`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.write_forbids.is_empty()
-            && self.deref_forbids.is_empty()
-            && self.arith_forbids.is_empty()
-            && self.null_seeds.is_empty()
-            && self.source_seeds.is_empty()
-            && self.sink_forbids.is_empty()
-    }
 }
 
-/// The masked lower bound that *seeds* coordinate `id`'s bad/owned
-/// state: the element whose canonical bit for `id` is high — qualifier
+/// The masked lower bound that *seeds* coordinate `id`'s bad state:
+/// the element whose canonical bit for `id` is high — qualifier
 /// present for a positive coordinate (`tainted` data), absent for a
 /// negative one (a possibly-null `nonnull` pointer). Always used under
 /// a mask of `[id]`, so the other coordinates of the constant are
@@ -126,21 +109,19 @@ mod tests {
         let rules = ActiveRules::compile(&space);
         assert_eq!(rules.write_forbids, vec![space.id("const").unwrap()]);
         assert!(rules.deref_forbids.is_empty());
-        assert!(rules.arith_forbids.is_empty());
         assert!(rules.null_seeds.is_empty());
         assert!(rules.source_seeds.is_empty());
         assert!(rules.sink_forbids.is_empty());
     }
 
     #[test]
-    fn all_four_spaces_compile_every_choice_point() {
-        let space = space_for("const,nonnull,tainted,linear").unwrap();
+    fn all_three_spaces_compile_every_choice_point() {
+        let space = space_for("const,nonnull,tainted").unwrap();
         let rules = ActiveRules::compile(&space);
         assert_eq!(rules.write_forbids.len(), 1, "const");
         assert_eq!(rules.deref_forbids.len(), 2, "nonnull + tainted");
-        assert_eq!(rules.arith_forbids.len(), 1, "linear");
         assert_eq!(rules.null_seeds.len(), 1, "nonnull");
-        assert_eq!(rules.source_seeds.len(), 3, "nonnull + tainted + linear");
+        assert_eq!(rules.source_seeds.len(), 2, "nonnull + tainted");
         assert_eq!(rules.sink_forbids.len(), 1, "tainted");
     }
 
@@ -150,13 +131,12 @@ mod tests {
             .positive("mystery")
             .build()
             .unwrap();
-        assert!(ActiveRules::compile(&space).is_empty());
-    }
-
-    #[test]
-    fn relevant_is_a_pure_coordinate() {
-        let space = space_for("relevant").unwrap();
-        assert!(ActiveRules::compile(&space).is_empty());
+        let rules = ActiveRules::compile(&space);
+        assert!(rules.write_forbids.is_empty());
+        assert!(rules.deref_forbids.is_empty());
+        assert!(rules.null_seeds.is_empty());
+        assert!(rules.source_seeds.is_empty());
+        assert!(rules.sink_forbids.is_empty());
     }
 
     #[test]

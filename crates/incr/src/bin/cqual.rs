@@ -18,7 +18,7 @@
 //! * `--rewrite`: print the whole program with the (monomorphic)
 //!   inferable consts inserted.
 //! * `--qual LIST`: the comma-separated qualifier spaces to analyze,
-//!   e.g. `--qual const,nonnull,tainted,linear`. Every listed
+//!   e.g. `--qual const,nonnull,tainted`. Every listed
 //!   qualifier's constraints are solved *simultaneously* — one
 //!   word-parallel propagation pass over all coordinates, not one pass
 //!   per qualifier. The report gains one `may/must` count row per
@@ -96,9 +96,9 @@
 //! | 3    | `--verify` found a result that failed certification |
 //!
 //! Cache infrastructure trouble (corrupt entries, store failures, an
-//! unavailable lock) is reported on stderr but never changes the exit
-//! code, and neither does `--connect` daemon trouble (the run degrades
-//! in process instead).
+//! unusable cache directory) is reported on stderr but never changes
+//! the exit code, and neither does `--connect` daemon trouble (the run
+//! degrades in process instead).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -4,8 +4,6 @@
 //! ```text
 //! cquald --socket PATH [--cache-dir DIR] [--mode mono|poly|polyrec]
 //!        [--jobs N] [--max-inflight N] [--queue-cap N]
-//!        [--request-deadline-ms N] [--read-timeout-ms N]
-//!        [--idle-timeout-ms N] [--drain-deadline-ms N]
 //!        [--memory-budget-mb N]
 //! ```
 //!
@@ -16,7 +14,12 @@
 //! SIGTERM/SIGINT or a client Shutdown frame; and because every durable
 //! byte lives in the crash-safe QINC cache, `kill -9` at any moment
 //! loses only in-flight requests — the next `cquald` on the same socket
-//! steals the stale file and serves warm.
+//! steals the stale file at once and serves warm.
+//!
+//! Timeouts are fixed: a request the client sent without a deadline gets
+//! 30 s, one frame must arrive within 10 s of its first byte, an idle
+//! connection is closed after 300 s, and a drain waits 2 s for queued
+//! work.
 //!
 //! Exit codes: 0 after a drain, 1 when serving could not start, 2 for
 //! bad usage.
@@ -37,8 +40,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cquald --socket PATH [--cache-dir DIR] [--mode mono|poly|polyrec]\n\
          \x20             [--jobs N] [--max-inflight N] [--queue-cap N]\n\
-         \x20             [--request-deadline-ms N] [--read-timeout-ms N]\n\
-         \x20             [--idle-timeout-ms N] [--drain-deadline-ms N]\n\
          \x20             [--memory-budget-mb N]"
     );
     ExitCode::from(2)
@@ -81,26 +82,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => cfg.queue_cap = n,
                 _ => return usage(),
             },
-            "--request-deadline-ms" => {
-                match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cfg.request_deadline_ms = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--read-timeout-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.read_timeout_ms = n,
-                _ => return usage(),
-            },
-            "--idle-timeout-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.idle_timeout_ms = n,
-                _ => return usage(),
-            },
-            "--drain-deadline-ms" => {
-                match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => cfg.drain_deadline_ms = n,
-                    None => return usage(),
-                }
-            }
             "--memory-budget-mb" => {
                 match args.next().and_then(|v| v.parse().ok()) {
                     Some(n) if n >= 1 => cfg.incr.memory_budget_mb = Some(n),

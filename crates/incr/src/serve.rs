@@ -69,8 +69,19 @@ const MEMO_CAP: usize = 64;
 const RETRY_HINT_MIN_MS: u64 = 25;
 /// Ceiling for overload retry hints, in milliseconds.
 const RETRY_HINT_MAX_MS: u64 = 2_000;
-/// Conn-side wait bound when a request carries no deadline.
+/// Client-side wait bound when a request carries no deadline: twice
+/// the daemon's own [`REQUEST_DEADLINE_MS`].
 const FALLBACK_WAIT_MS: u64 = 60_000;
+/// Per-request analysis deadline when the client sends none.
+const REQUEST_DEADLINE_MS: u64 = 30_000;
+/// Budget for reading one complete frame once its first byte arrived —
+/// a drip-feeding client is cut off at this bound. It bounds each reply
+/// write as well.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a connection may sit idle between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+/// Drain budget: queued work past this deadline is abandoned.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// Scheduling grace added to the conn-side wait beyond the request
 /// deadline (the worker needs time to pick the job up and publish).
 const WAIT_GRACE_MS: u64 = 2_000;
@@ -85,16 +96,6 @@ const FD_PRESSURE_WINDOW_MS: u64 = 500;
 /// How long `stop` waits for a service thread to finish after it was
 /// told to, before detaching it.
 const JOIN_PATIENCE: Duration = Duration::from_millis(500);
-/// How long an unclaimed `<socket>.lock` may sit unchanged before a
-/// starting daemon steals the socket (override: `QUAL_SERVE_LOCK_STALE_MS`).
-const SOCKET_LOCK_STALE_AFTER: Duration = Duration::from_secs(5);
-
-fn socket_lock_stale_after() -> Duration {
-    std::env::var("QUAL_SERVE_LOCK_STALE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(SOCKET_LOCK_STALE_AFTER, Duration::from_millis)
-}
 
 /// Poison-tolerant lock: a panicked holder already paid with its
 /// thread; the shared maps stay structurally sound.
@@ -120,17 +121,6 @@ pub struct ServeConfig {
     /// Queued requests beyond the in-flight ones before the server
     /// sheds load with `Overloaded`.
     pub queue_cap: usize,
-    /// Default per-request analysis deadline when the client sends
-    /// none; `None` disables deadlines (the conn-side wait stays
-    /// bounded regardless).
-    pub request_deadline_ms: Option<u64>,
-    /// Budget for reading one complete frame once its first byte
-    /// arrived — a drip-feeding client is cut off at this bound.
-    pub read_timeout_ms: u64,
-    /// How long a connection may sit idle between requests.
-    pub idle_timeout_ms: u64,
-    /// Drain budget: queued work past this deadline is abandoned.
-    pub drain_deadline_ms: u64,
 }
 
 impl ServeConfig {
@@ -142,10 +132,6 @@ impl ServeConfig {
             incr: IncrConfig::default(),
             max_inflight: 2,
             queue_cap: 8,
-            request_deadline_ms: Some(30_000),
-            read_timeout_ms: 10_000,
-            idle_timeout_ms: 300_000,
-            drain_deadline_ms: 2_000,
         }
     }
 }
@@ -201,8 +187,7 @@ impl ServerHandle {
         if let Some(a) = self.accept.take() {
             join_within(a, Instant::now() + JOIN_PATIENCE);
         }
-        let deadline =
-            Instant::now() + Duration::from_millis(self.shared.cfg.drain_deadline_ms);
+        let deadline = Instant::now() + DRAIN_DEADLINE;
         {
             let mut conns = lock(&self.shared.conns);
             while !conns.is_empty() {
@@ -251,9 +236,9 @@ fn join_within(t: thread::JoinHandle<()>, patience: Instant) -> bool {
     finished
 }
 
-/// Removes the socket and its lock file when the server winds down
-/// normally. A crashed daemon leaves them behind on purpose — the next
-/// daemon's startup steals them (see [`bind_socket`]).
+/// Removes the socket when the server winds down normally. A crashed
+/// daemon leaves it behind on purpose — the next daemon's startup
+/// steals it (see [`bind_socket`]).
 struct SocketGuard {
     socket: PathBuf,
 }
@@ -261,14 +246,7 @@ struct SocketGuard {
 impl Drop for SocketGuard {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.socket);
-        let _ = std::fs::remove_file(lock_path(&self.socket));
     }
-}
-
-fn lock_path(socket: &Path) -> PathBuf {
-    let mut p = socket.as_os_str().to_owned();
-    p.push(".lock");
-    PathBuf::from(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -384,11 +362,10 @@ fn begin_drain(shared: &Shared) {
 
 /// Binds the socket, stealing a stale one left by a crashed daemon.
 ///
-/// A socket is stolen only when (a) nothing answers a connect probe on
-/// it, and (b) its `.lock` file is absent or has sat unchanged past the
-/// staleness bound. A live daemon always answers the probe; a starting
-/// daemon's lock file is fresh. Returns the listener and whether a
-/// stale socket was stolen.
+/// A socket is stolen when nothing answers a connect probe on it: a
+/// live daemon always answers. Two daemons starting in the same instant
+/// on debris can both steal it, and the later bind wins the path.
+/// Returns the listener and whether a stale socket was stolen.
 fn bind_socket(socket: &Path) -> Result<(UnixListener, bool), String> {
     match UnixListener::bind(socket) {
         Ok(l) => Ok((l, false)),
@@ -399,27 +376,7 @@ fn bind_socket(socket: &Path) -> Result<(UnixListener, bool), String> {
                     socket.display()
                 ));
             }
-            let lock_file = lock_path(socket);
-            let stale = match std::fs::metadata(&lock_file) {
-                // No claim at all: the socket is debris.
-                Err(_) => true,
-                Ok(meta) => match meta.modified().ok().and_then(|t| t.elapsed().ok()) {
-                    Some(age) => age >= socket_lock_stale_after(),
-                    // Unreadable or future mtime: the probe already
-                    // failed, treat as debris (crash-only bias).
-                    None => true,
-                },
-            };
-            if !stale {
-                return Err(format!(
-                    "socket {} is claimed by a starting daemon (lock {} is fresh); \
-                     not stealing it",
-                    socket.display(),
-                    lock_file.display()
-                ));
-            }
             let _ = std::fs::remove_file(socket);
-            let _ = std::fs::remove_file(&lock_file);
             match UnixListener::bind(socket) {
                 Ok(l) => Ok((l, true)),
                 Err(e) => Err(format!(
@@ -437,10 +394,6 @@ fn bind_socket(socket: &Path) -> Result<(UnixListener, bool), String> {
 /// worker pool and accept loop.
 pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
     let (listener, stolen) = bind_socket(&cfg.socket)?;
-    let _ = std::fs::write(
-        lock_path(&cfg.socket),
-        format!("pid {}\n", std::process::id()),
-    );
     let guard = SocketGuard {
         socket: cfg.socket.clone(),
     };
@@ -646,8 +599,7 @@ enum FirstByte {
 }
 
 fn wait_first_byte(shared: &Shared, stream: &UnixStream) -> FirstByte {
-    let idle_deadline =
-        Instant::now() + Duration::from_millis(shared.cfg.idle_timeout_ms.max(1));
+    let idle_deadline = Instant::now() + IDLE_TIMEOUT;
     if stream
         .set_read_timeout(Some(Duration::from_millis(POLL_MS)))
         .is_err()
@@ -682,7 +634,7 @@ fn wait_first_byte(shared: &Shared, stream: &UnixStream) -> FirstByte {
 /// A reader that re-serves the byte consumed by the idle wait and
 /// enforces an absolute per-frame deadline on top of the socket's
 /// per-read timeout — a drip-feeding client cannot hold a connection
-/// thread past `read_timeout_ms` per frame.
+/// thread past [`READ_TIMEOUT`] per frame.
 struct FrameReader<'a> {
     first: Option<u8>,
     inner: &'a UnixStream,
@@ -712,9 +664,7 @@ impl Read for FrameReader<'_> {
 
 fn run_conn(shared: &Shared, stream: &UnixStream, incarnation: u64) {
     // A reply must not block forever on a stuffed pipe either.
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-        shared.cfg.read_timeout_ms.max(1),
-    )));
+    let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     loop {
         let first = match wait_first_byte(shared, stream) {
             FirstByte::Byte(b) => b,
@@ -737,14 +687,13 @@ fn run_conn(shared: &Shared, stream: &UnixStream, incarnation: u64) {
             }
             Some(FaultKind::Delay(_)) | None => {}
         }
-        let read_budget = Duration::from_millis(shared.cfg.read_timeout_ms.max(1));
-        if stream.set_read_timeout(Some(read_budget)).is_err() {
+        if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
             return;
         }
         let mut reader = FrameReader {
             first: Some(first),
             inner: stream,
-            deadline: Instant::now() + read_budget,
+            deadline: Instant::now() + READ_TIMEOUT,
         };
         let frame = match proto::read_frame(&mut reader) {
             Ok(f) => f,
@@ -898,7 +847,7 @@ fn serve_analyze(shared: &Shared, req: AnalyzeReq, fresh: bool) -> Frame {
         let depth = lock(&shared.queue).jobs.len();
         return overloaded_reply(shared, depth);
     }
-    let deadline_ms = req.deadline_ms.or(shared.cfg.request_deadline_ms);
+    let deadline_ms = req.deadline_ms.unwrap_or(REQUEST_DEADLINE_MS);
     let job = {
         let mut q = lock(&shared.queue);
         if let Some(existing) = q.pending.get(&key) {
@@ -933,10 +882,7 @@ fn serve_analyze(shared: &Shared, req: AnalyzeReq, fresh: bool) -> Frame {
     // analysis itself is cooperatively cancelled at the deadline, so
     // this bound only fires when a worker is truly wedged — and then
     // the client gets a structured error, never a hang.
-    let wait_ms = deadline_ms
-        .unwrap_or(FALLBACK_WAIT_MS)
-        .saturating_add(WAIT_GRACE_MS)
-        .min(600_000);
+    let wait_ms = deadline_ms.saturating_add(WAIT_GRACE_MS).min(600_000);
     let wait_deadline = Instant::now() + Duration::from_millis(wait_ms);
     let mut state = lock(&job.state);
     loop {
@@ -1047,10 +993,10 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<ReportFrame>, String> {
         Some(FaultKind::Delay(_)) | None => {}
     }
     let req = &job.req;
-    let deadline = req.deadline_ms.or(shared.cfg.request_deadline_ms);
+    let deadline = req.deadline_ms.unwrap_or(REQUEST_DEADLINE_MS);
     // Arm cooperative cancellation for this worker thread; unit-level
     // deadlines cover the units regardless of `jobs`.
-    let _deadline_guard = deadline.map(qual_faultpoint::cancel::deadline_after_ms);
+    let _deadline_guard = qual_faultpoint::cancel::deadline_after_ms(deadline);
     let mut icfg = shared.cfg.incr.clone();
     icfg.mode = req.mode;
     if !req.quals.is_empty() {
@@ -1058,9 +1004,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<ReportFrame>, String> {
             .map_err(|e| e.to_string())?;
     }
     icfg.options.verify_solutions = req.verify;
-    if let Some(d) = deadline {
-        icfg.unit_deadline_ms = Some(icfg.unit_deadline_ms.map_or(d, |u| u.min(d)));
-    }
+    icfg.unit_deadline_ms = Some(icfg.unit_deadline_ms.map_or(deadline, |u| u.min(deadline)));
     let out = shared.driver.analyze_with(&req.src, &icfg);
     let rep = Arc::new(report_from_outcome(&out, &req.src, req.mode, req.verify));
     *lock(&shared.resident) = Some(Resident {
@@ -1618,9 +1562,8 @@ mod tests {
     fn stop_is_bounded_when_the_wake_connection_cannot_land() {
         let socket = temp_socket("unlinked");
         let _ = std::fs::remove_file(&socket);
-        let cfg = ServeConfig::for_socket(socket.clone());
-        let bound = Duration::from_millis(cfg.drain_deadline_ms + 1_000);
-        let handle = serve(cfg).expect("serve");
+        let bound = DRAIN_DEADLINE + Duration::from_secs(1);
+        let handle = serve(ServeConfig::for_socket(socket.clone())).expect("serve");
         // One round trip proves the accept thread runs; the pause lets
         // it get back into accept(2). With the path gone, the drain
         // cannot connect to its own socket, so the thread stays there.
@@ -1653,8 +1596,8 @@ mod tests {
     fn stale_socket_without_a_claim_is_stolen() {
         let socket = temp_socket("stale");
         let _ = std::fs::remove_file(&socket);
-        // A dead daemon's debris: the socket file exists, nothing
-        // listens, and no lock file claims it.
+        // A dead daemon's debris: the socket file exists and nothing
+        // listens on it.
         drop(UnixListener::bind(&socket).expect("debris socket"));
         assert!(socket.exists());
         let handle = serve(ServeConfig::for_socket(socket.clone()))
@@ -1671,5 +1614,26 @@ mod tests {
         let conn = Connect::new(socket);
         assert!(request_stats(&conn).is_ok());
         handle.stop();
+    }
+
+    #[test]
+    fn debris_next_to_a_fresh_lock_file_is_stolen_at_once() {
+        // What a daemon killed a moment ago leaves behind: its socket
+        // and, where an earlier version ran, a `<socket>.lock` claim
+        // written at its startup. Only the liveness probe decides, so a
+        // restart serves at once.
+        let socket = temp_socket("fresh-lock");
+        let mut lock_file = socket.clone().into_os_string();
+        lock_file.push(".lock");
+        let _ = std::fs::remove_file(&socket);
+        drop(UnixListener::bind(&socket).expect("debris socket"));
+        std::fs::write(&lock_file, "pid 1\n").expect("fresh lock file");
+        let t = Instant::now();
+        let handle = serve(ServeConfig::for_socket(socket.clone()))
+            .expect("startup must steal the socket despite a fresh lock file");
+        assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+        assert!(request_stats(&Connect::new(socket)).is_ok());
+        handle.stop();
+        let _ = std::fs::remove_file(&lock_file);
     }
 }

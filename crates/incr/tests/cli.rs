@@ -407,6 +407,39 @@ fn help_prints_usage_on_stdout_and_exits_zero() {
     }
 }
 
+#[test]
+fn retired_substructural_qualifiers_are_unknown_names() {
+    let dir = TempDir::new("retired-quals");
+    dir.write("f.c", "int f(const char *s) { return *s; }\n");
+    let f = dir.0.join("f.c");
+    let f = f.to_str().unwrap();
+    for name in ["linear", "affine", "relevant"] {
+        let out = cqual(&["--qual", name, f]);
+        assert_eq!(out.status.code(), Some(2), "--qual {name}");
+        assert!(
+            out.stdout.is_empty(),
+            "--qual {name} must not print a report"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("(available: const, nonnull, tainted)\n"),
+            "--qual {name}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn list_quals_prints_one_line_per_enforced_qualifier() {
+    let out = cqual(&["--list-quals"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let names: Vec<&str> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert_eq!(names, ["const", "nonnull", "tainted"], "{stdout}");
+}
+
 // The full exit-code table from the cqual doc, pinned end to end:
 // 0 clean, 1 diagnostics, 2 bad usage, 3 failed certification. The
 // 0/1/2 rows are also covered above; this keeps the whole table in one

@@ -73,14 +73,13 @@ fn metrics_on_equals_metrics_off() {
 #[test]
 fn multi_qualifier_run_pins_coords_peak_and_per_qual_counters() {
     let _g = qual_faultpoint::test_lock();
-    // The paper's promise, measured: four qualifier spaces solve in ONE
+    // The paper's promise, measured: three qualifier spaces solve in ONE
     // word-parallel propagation pass. `solve.coords` peaks at the space
     // width, the merged solve enters `solve-propagate` exactly once,
     // and each qualifier's may/must tallies surface under its own
     // pinned counter names.
     let src = corpus();
-    let space =
-        qual_constinfer::space_for("const,nonnull,tainted,linear").unwrap();
+    let space = qual_constinfer::space_for("const,nonnull,tainted").unwrap();
     let cfg = IncrConfig {
         space: space.clone(),
         ..IncrConfig::default()
@@ -88,8 +87,8 @@ fn multi_qualifier_run_pins_coords_peak_and_per_qual_counters() {
     let (out, report) =
         qual_obs::scoped(|| analyze_source_incremental(&src, &cfg));
     assert!(out.counts.is_some(), "{:?}", out.skipped);
-    assert_eq!(report.peak_value("solve.coords"), 4);
-    assert_eq!(out.qual_counts.len(), 4);
+    assert_eq!(report.peak_value("solve.coords"), 3);
+    assert_eq!(out.qual_counts.len(), 3);
     for qc in &out.qual_counts {
         assert_eq!(
             report.counter(&format!("analysis.{}.may", qc.name)),
@@ -115,13 +114,13 @@ fn multi_qualifier_run_pins_coords_peak_and_per_qual_counters() {
     assert_eq!(const_qc.may, c.inferred);
 
     // One propagation pass for all coordinates: the classic pipeline
-    // under the same four-space enters the solver span exactly once.
+    // under the same three spaces enters the solver span exactly once.
     let ((), rep) = qual_obs::scoped(|| {
         qual_constinfer::analyze_source_in(&src, &space, Mode::Polymorphic)
             .expect("corpus parses");
     });
     assert_eq!(rep.spans["solve-propagate"].count, 1);
-    assert_eq!(rep.peak_value("solve.coords"), 4);
+    assert_eq!(rep.peak_value("solve.coords"), 3);
 }
 
 #[test]

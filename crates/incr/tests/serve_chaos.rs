@@ -438,15 +438,10 @@ fn kill_9_mid_analysis_degrades_the_client_and_a_restart_serves_warm() {
     );
 
     // Crash-only restart: the same socket path still holds the dead
-    // daemon's socket and lock files. With the staleness bound forced
-    // to zero the newcomer steals both and serves — warm, because every
-    // durable byte survived in the QINC cache.
-    let _daemon2 = Daemon::spawn(
-        "kill9-restart",
-        &socket,
-        &["--cache-dir", &cache_arg],
-        &[("QUAL_SERVE_LOCK_STALE_MS", "0")],
-    );
+    // daemon's socket. Nothing answers on it, so the newcomer steals it
+    // at once and serves — warm, because every durable byte survived in
+    // the QINC cache.
+    let _daemon2 = Daemon::spawn("kill9-restart", &socket, &["--cache-dir", &cache_arg], &[]);
     let stats = serve::request_stats(&conn).expect("restarted stats");
     assert_eq!(stat(&stats, "serve.socket_stolen"), 1, "{stats:?}");
     let rep = serve::request_analyze(&conn, &analyze_req(SRC_A)).expect("warm request");

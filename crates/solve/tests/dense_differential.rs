@@ -37,13 +37,8 @@ use qual_solve::{
 
 /// The qualifier sets Part A runs every program through: the paper's
 /// const analysis, a mixed-polarity pair, a negative-polarity set, and
-/// the full four-qualifier space.
-const QUAL_SETS: &[&str] = &[
-    "const",
-    "const,nonnull",
-    "tainted",
-    "const,nonnull,tainted,linear",
-];
+/// the full three-qualifier space.
+const QUAL_SETS: &[&str] = &["const", "const,nonnull", "tainted", "const,nonnull,tainted"];
 
 fn cases() -> u32 {
     std::env::var("QUAL_DENSE_CASES")
