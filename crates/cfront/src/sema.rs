@@ -48,12 +48,16 @@ pub struct Sema {
     pub structs: HashMap<String, Vec<(String, CTy)>>,
     /// Every function signature in the program (defined and declared).
     pub signatures: HashMap<String, FnTy>,
-    /// Names of *defined* functions (the rest are library functions; the
-    /// analysis treats their unannotated pointer parameters as
-    /// conservatively non-const, §4.2).
-    pub defined: Vec<String>,
+    /// Each *defined* function's name → the index in [`Program::items`]
+    /// of its definition (the rest are library functions; the analysis
+    /// treats their unannotated pointer parameters as conservatively
+    /// non-const, §4.2). A name defined twice is a failure of that name.
+    pub defined: HashMap<String, usize>,
     /// Global variable types.
     pub globals: HashMap<String, CTy>,
+    /// The indices in [`Program::items`] of the global variables, in
+    /// item order.
+    pub global_items: Vec<usize>,
     /// Functions that were called but never declared (implicitly
     /// `int f(...)`).
     pub implicit_functions: Vec<String>,
@@ -79,7 +83,25 @@ impl Sema {
     /// Whether `name` is a defined (analyzable) function.
     #[must_use]
     pub fn is_defined(&self, name: &str) -> bool {
-        self.defined.iter().any(|d| d == name)
+        self.defined.contains_key(name)
+    }
+
+    /// The definition of the defined function `name` in `prog`, the
+    /// program this analysis ran over. `None` for library functions,
+    /// functions that failed analysis, and definitions since demoted
+    /// with [`Program::demote_to_proto`].
+    #[must_use]
+    pub fn function<'p>(&self, prog: &'p Program, name: &str) -> Option<&'p FnDef> {
+        match prog.items.get(*self.defined.get(name)?) {
+            Some(Item::Func(f)) if f.name == name => Some(f),
+            _ => None,
+        }
+    }
+
+    /// The global variable items of `prog`, the program this analysis
+    /// ran over, in item order.
+    pub fn global_decls<'a>(&'a self, prog: &'a Program) -> impl Iterator<Item = &'a Item> {
+        self.global_items.iter().filter_map(|&i| prog.items.get(i))
     }
 }
 
@@ -88,7 +110,7 @@ impl Sema {
 fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
     let mut sema = Sema::default();
     let mut enum_consts: HashMap<String, i64> = HashMap::new();
-    for item in &prog.items {
+    for (i, item) in prog.items.iter().enumerate() {
         match item {
             Item::StructDef { name, fields, .. } => {
                 sema.structs.insert(name.clone(), fields.clone());
@@ -100,10 +122,11 @@ fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
             }
             Item::Global { name, ty, .. } => {
                 sema.globals.insert(name.clone(), ty.clone());
+                sema.global_items.push(i);
             }
             Item::Func(f) => {
                 sema.signatures.insert(f.name.clone(), f.sig());
-                sema.defined.push(f.name.clone());
+                sema.defined.entry(f.name.clone()).or_insert(i);
             }
             Item::Proto { name, sig, .. } => {
                 sema.signatures.entry(name.clone()).or_insert(sig.clone());
@@ -119,7 +142,7 @@ fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
 /// # Errors
 ///
 /// Returns [`CError`] for unresolved identifiers, unknown struct fields,
-/// or uses of non-struct values as structs.
+/// uses of non-struct values as structs, or a function defined twice.
 pub fn analyze(prog: &Program) -> Result<Sema, CError> {
     let _span = qual_obs::span("sema");
     let (mut sema, enum_consts) = collect_decls(prog);
@@ -131,9 +154,9 @@ pub fn analyze(prog: &Program) -> Result<Sema, CError> {
         scopes: Vec::new(),
         current_fn: String::new(),
     };
-    for item in &prog.items {
+    for (i, item) in prog.items.iter().enumerate() {
         match item {
-            Item::Func(f) => cx.check_fn(f)?,
+            Item::Func(f) => cx.check_def(i, f)?,
             Item::Global { init: Some(e), .. } => {
                 cx.current_fn.clear();
                 cx.scopes.clear();
@@ -150,9 +173,10 @@ pub fn analyze(prog: &Program) -> Result<Sema, CError> {
 pub struct RecoveredSema {
     /// The analysis of everything that checked.
     pub sema: Sema,
-    /// Functions whose bodies failed analysis, with the error. They are
-    /// removed from [`Sema::defined`] (their signatures remain, so calls
-    /// to them resolve and are treated like library calls).
+    /// Functions whose bodies failed analysis, or that are defined more
+    /// than once, with the error. They are removed from
+    /// [`Sema::defined`] (their signatures remain, so calls to them
+    /// resolve and are treated like library calls).
     pub failed_functions: Vec<(String, CError)>,
     /// Globals whose initializers failed analysis, with the error.
     pub failed_globals: Vec<(String, CError)>,
@@ -178,10 +202,10 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
         scopes: Vec::new(),
         current_fn: String::new(),
     };
-    for item in &prog.items {
+    for (i, item) in prog.items.iter().enumerate() {
         match item {
             Item::Func(f) => {
-                if let Err(e) = cx.check_fn(f) {
+                if let Err(e) = cx.check_def(i, f) {
                     failed_functions.push((f.name.clone(), e));
                 }
             }
@@ -201,8 +225,9 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
     }
     // A failed function is no longer "defined": inference skips its
     // body and poisons its signature like any other library function.
-    sema.defined
-        .retain(|d| !failed_functions.iter().any(|(n, _)| n == d));
+    for (name, _) in &failed_functions {
+        sema.defined.remove(name);
+    }
     RecoveredSema {
         sema,
         failed_functions,
@@ -218,6 +243,18 @@ struct Cx<'a> {
 }
 
 impl Cx<'_> {
+    /// Checks the definition `f` at item `i`. A second definition of a
+    /// name fails: which body a call means would be ambiguous.
+    fn check_def(&mut self, i: usize, f: &FnDef) -> Result<(), CError> {
+        if self.sema.defined.get(&f.name) != Some(&i) {
+            return Err(CError::at(
+                f.span,
+                format!("redefinition of function `{}`", f.name),
+            ));
+        }
+        self.check_fn(f)
+    }
+
     fn check_fn(&mut self, f: &FnDef) -> Result<(), CError> {
         self.current_fn = f.name.clone();
         self.scopes.clear();
@@ -687,6 +724,58 @@ mod tests {
         assert!(p.items.iter().any(
             |i| matches!(i, Item::Global { name, init: None, .. } if name == "g")
         ));
+    }
+
+    #[test]
+    fn function_index_agrees_with_the_program_scan() {
+        let mut p = parse(
+            "int lib(char *s);
+             int g1;
+             int ok(int x) { return x; }
+             int bad(void) { return nope; }
+             int g2 = 2;
+             int later(int *p) { return *p; }
+             int dup(int x) { return x; }
+             int dup(int y) { return y; }",
+        )
+        .unwrap();
+        let r = analyze_with_recovery(&p);
+        let failed: Vec<&str> = r.failed_functions.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(failed, ["bad", "dup"]);
+        assert!(r.failed_functions[1].1.message.contains("redefinition"));
+        for (name, _) in &r.failed_functions {
+            p.demote_to_proto(name);
+        }
+        let agree = |p: &Program| {
+            for name in ["lib", "ok", "bad", "later", "dup", "g1", "absent"] {
+                assert_eq!(
+                    r.sema.function(p, name).map(std::ptr::from_ref),
+                    p.function(name).map(std::ptr::from_ref),
+                    "{name}"
+                );
+            }
+        };
+        agree(&p);
+        assert!(r.sema.function(&p, "ok").is_some());
+        // A definition demoted after analysis (an inference fault) is
+        // gone from the index too.
+        p.demote_to_proto("later");
+        agree(&p);
+        assert!(r.sema.function(&p, "later").is_none());
+
+        let globals: Vec<&str> = r
+            .sema
+            .global_decls(&p)
+            .map(|i| match i {
+                Item::Global { name, .. } => name.as_str(),
+                _ => panic!("not a global: {i:?}"),
+            })
+            .collect();
+        assert_eq!(globals, ["g1", "g2"]);
+
+        let strict =
+            analyze(&parse("int f(void) { return 0; } int f(void) { return 1; }").unwrap());
+        assert!(strict.is_err_and(|e| e.message == "redefinition of function `f`"));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   analysis (must-const + either);
 //! * **Total possible** — all interesting positions.
 
+use std::collections::HashMap;
+
 use qual_cfront::ast::Program;
 use qual_cfront::sema;
 use qual_cfront::{CError, CTy, CTyKind};
@@ -111,15 +113,11 @@ impl ConstResult {
     /// signatures.
     #[must_use]
     pub fn annotated_signatures(&self, prog: &Program) -> String {
+        let can = const_able(&self.positions);
         let mut out = String::new();
         for f in prog.functions() {
             let mut sig = String::new();
-            sig.push_str(&render_ty_annotated(
-                &f.ret,
-                &self.positions,
-                &f.name,
-                None,
-            ));
+            sig.push_str(&render_ty_annotated(&f.ret, &can, &f.name, None));
             sig.push(' ');
             sig.push_str(&f.name);
             sig.push('(');
@@ -127,12 +125,7 @@ impl ConstResult {
                 if i > 0 {
                     sig.push_str(", ");
                 }
-                sig.push_str(&render_ty_annotated(
-                    pty,
-                    &self.positions,
-                    &f.name,
-                    Some(i),
-                ));
+                sig.push_str(&render_ty_annotated(pty, &can, &f.name, Some(i)));
                 sig.push(' ');
                 sig.push_str(pname);
             }
@@ -146,21 +139,30 @@ impl ConstResult {
     }
 }
 
+/// Whether each position, keyed by (function, parameter, level), may
+/// be const; the first listing of a position wins.
+pub(crate) type ConstAble<'a> = HashMap<(&'a str, Option<usize>, usize), bool>;
+
+/// The [`ConstAble`] table of `positions`, built once per rendering.
+pub(crate) fn const_able(positions: &[Position]) -> ConstAble<'_> {
+    let mut table = ConstAble::with_capacity(positions.len());
+    for p in positions {
+        table
+            .entry((p.function.as_str(), p.param, p.level))
+            .or_insert_with(|| p.can_be_const());
+    }
+    table
+}
+
 /// Renders a C type left-to-right with `const` inserted at every
 /// const-able pointer level.
 fn render_ty_annotated(
     ty: &CTy,
-    positions: &[Position],
+    table: &ConstAble<'_>,
     func: &str,
     param: Option<usize>,
 ) -> String {
-    // Collect pointee levels outermost-first.
-    let can = |level: usize| {
-        positions
-            .iter()
-            .find(|p| p.function == func && p.param == param && p.level == level)
-            .is_some_and(Position::can_be_const)
-    };
+    let can = |level: usize| table.get(&(func, param, level)).copied().unwrap_or(false);
     // Base type first.
     let mut levels = Vec::new();
     let mut cur = ty.decayed();

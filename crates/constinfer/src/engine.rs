@@ -363,7 +363,6 @@ pub(crate) struct Engine<'a> {
     /// the previous round's schemes instead of linking directly.
     instantiate_intra_scc: bool,
     pub(crate) mode: Mode,
-    struct_defs: HashMap<String, Vec<(String, CTy)>>,
     /// Resource caps for this run.
     budgets: Budgets,
     /// Remaining work units for the function currently being analyzed.
@@ -414,7 +413,6 @@ impl<'a> Engine<'a> {
             current_scc: Vec::new(),
             instantiate_intra_scc: false,
             mode,
-            struct_defs: sema.structs.clone(),
             budgets,
             fuel: budgets.max_fn_work,
             failed: HashSet::new(),
@@ -426,7 +424,8 @@ impl<'a> Engine<'a> {
     /// Their qualifier variables are "free in the environment" and
     /// never generalized.
     pub(crate) fn setup_globals(&mut self, prog: &Program) {
-        for item in &prog.items {
+        let sema = self.sema;
+        for item in sema.global_decls(prog) {
             if let Item::Global { name, ty, .. } = item {
                 let cell = self.translator().lvalue_of(ty);
                 self.globals.insert(name.clone(), cell);
@@ -442,7 +441,8 @@ impl<'a> Engine<'a> {
         prog: &Program,
         skipped: &mut Vec<Diagnostic>,
     ) {
-        for item in &prog.items {
+        let sema = self.sema;
+        for item in sema.global_decls(prog) {
             if let Item::Global {
                 name,
                 init: Some(e),
@@ -508,14 +508,15 @@ impl<'a> Engine<'a> {
         self.current_scc = names.to_vec();
         // Templates first (mutual recursion needs them all), then
         // bodies — all inside the window opened at `mark`.
+        let sema = self.sema;
         for name in names {
-            if let Some(f) = prog.function(name) {
+            if let Some(f) = sema.function(prog, name) {
                 self.make_sig(f);
             }
         }
         let mut fault = None;
         for name in names {
-            if let Some(f) = prog.function(name) {
+            if let Some(f) = sema.function(prog, name) {
                 if let Err(d) = self.analyze_fn(f) {
                     fault = Some(d);
                     break;
@@ -575,7 +576,7 @@ impl<'a> Engine<'a> {
 
         // Round 0: most general assumption.
         for name in names {
-            if let Some(f) = prog.function(name) {
+            if let Some(f) = self.sema.function(prog, name) {
                 self.make_sig(f);
                 let sig = self.sigs[name].clone();
                 let bound = self.sig_interface(&sig);
@@ -719,14 +720,15 @@ impl<'a> Engine<'a> {
     ) -> Result<(), Diagnostic> {
         let mark = self.supply.count();
         let cs_mark = self.cs.len();
+        let sema = self.sema;
         for name in names {
-            if let Some(f) = prog.function(name) {
+            if let Some(f) = sema.function(prog, name) {
                 self.make_sig(f);
             }
         }
         self.instantiate_intra_scc = instantiate_self;
         for name in names {
-            if let Some(f) = prog.function(name) {
+            if let Some(f) = sema.function(prog, name) {
                 if let Err(d) = self.analyze_fn(f) {
                     self.instantiate_intra_scc = false;
                     return Err(d);
@@ -1277,7 +1279,8 @@ impl<'a> Engine<'a> {
             }
         };
         let Some(fty) = self
-            .struct_defs
+            .sema
+            .structs
             .get(&tag)
             .and_then(|fs| fs.iter().find(|(n, _)| n == field))
             .map(|(_, t)| t.clone())
@@ -1343,15 +1346,12 @@ impl<'a> Engine<'a> {
                 && (!self.current_scc.contains(&fname) || self.instantiate_intra_scc);
             let sig = if use_scheme {
                 // (Var′): fresh instance per call site.
-                let scheme = self.schemes[&fname].clone();
                 let arena = &mut self.arena;
-                scheme.instantiate(&mut self.supply, &mut self.cs, |body, f| SigNodes {
-                    params: body
-                        .params
-                        .iter()
-                        .map(|p| arena.copy_with(*p, f))
-                        .collect(),
-                    ret: arena.copy_with(body.ret, f),
+                self.schemes[&fname].instantiate(&mut self.supply, &mut self.cs, |body, f| {
+                    SigNodes {
+                        params: body.params.iter().map(|p| arena.copy_with(*p, f)).collect(),
+                        ret: arena.copy_with(body.ret, f),
+                    }
                 })
             } else {
                 match self.sigs.get(&fname) {

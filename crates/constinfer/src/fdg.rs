@@ -20,6 +20,8 @@ pub struct Fdg {
     /// SCCs in *reverse topological order* (callees before callers) —
     /// exactly the order polymorphic inference wants.
     pub sccs: Vec<Vec<usize>>,
+    /// For each vertex, the index (into [`Fdg::sccs`]) of its component.
+    scc_of: Vec<usize>,
 }
 
 impl Fdg {
@@ -49,10 +51,17 @@ impl Fdg {
             }
         }
         let sccs = tarjan(&edges);
+        let mut scc_of = vec![0usize; names.len()];
+        for (i, scc) in sccs.iter().enumerate() {
+            for &v in scc {
+                scc_of[v] = i;
+            }
+        }
         Fdg {
             names,
             edges,
             sccs,
+            scc_of,
         }
     }
 
@@ -62,28 +71,15 @@ impl Fdg {
         self.names.iter().position(|n| n == name)
     }
 
-    /// For each vertex, the index (into [`Fdg::sccs`]) of its component.
-    #[must_use]
-    pub fn scc_index_of(&self) -> Vec<usize> {
-        let mut of = vec![0usize; self.names.len()];
-        for (i, scc) in self.sccs.iter().enumerate() {
-            for &v in scc {
-                of[v] = i;
-            }
-        }
-        of
-    }
-
     /// The components (by index into [`Fdg::sccs`]) that SCC `scc_index`
     /// depends on — distinct, sorted, self excluded. Because the SCC
     /// list is in reverse topological order, every returned index is
     /// `< scc_index`.
     #[must_use]
     pub fn scc_callees(&self, scc_index: usize) -> Vec<usize> {
-        let of = self.scc_index_of();
         let mut deps: Vec<usize> = self.sccs[scc_index]
             .iter()
-            .flat_map(|&v| self.edges[v].iter().map(|&w| of[w]))
+            .flat_map(|&v| self.edges[v].iter().map(|&w| self.scc_of[w]))
             .filter(|&c| c != scc_index)
             .collect();
         deps.sort_unstable();
@@ -101,13 +97,12 @@ impl Fdg {
     /// deterministic given the program.
     #[must_use]
     pub fn wavefronts(&self) -> Vec<Vec<usize>> {
-        let of = self.scc_index_of();
         let mut depth = vec![0usize; self.sccs.len()];
         for (i, scc) in self.sccs.iter().enumerate() {
             let mut d = 0usize;
             for &v in scc {
                 for &w in &self.edges[v] {
-                    let c = of[w];
+                    let c = self.scc_of[w];
                     if c != i {
                         // Reverse topological order guarantees c < i, so
                         // depth[c] is already final.
@@ -436,6 +431,33 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn callees_and_wavefronts_match_a_recompute_on_a_generated_program() {
+        let profile = qual_cgen::table1_profiles()[3].scaled(3000);
+        let g = Fdg::build(&parse(&qual_cgen::generate(&profile)).unwrap());
+        let component = |v: usize| g.sccs.iter().position(|scc| scc.contains(&v)).unwrap();
+        let mut depth: Vec<usize> = Vec::new();
+        for (i, scc) in g.sccs.iter().enumerate() {
+            let mut callees: Vec<usize> = scc
+                .iter()
+                .flat_map(|&v| g.edges[v].iter().map(|&w| component(w)))
+                .filter(|&c| c != i)
+                .collect();
+            callees.sort_unstable();
+            callees.dedup();
+            assert_eq!(g.scc_callees(i), callees, "component {i}");
+            depth.push(callees.iter().map(|&c| depth[c] + 1).max().unwrap_or(0));
+        }
+        let fronts = g.wavefronts();
+        assert!(fronts.len() > 2, "a generated program has call chains");
+        for (level, front) in fronts.iter().enumerate() {
+            for &s in front {
+                assert_eq!(depth[s], level, "component {s}");
+            }
+        }
+        assert_eq!(fronts.iter().map(Vec::len).sum::<usize>(), g.sccs.len());
     }
 
     #[test]

@@ -11,35 +11,36 @@
 //! polymorphic analysis the extra positions must remain unconstrained
 //! variables, so only the monomorphic result should be written back.
 
+use std::collections::HashSet;
+
 use qual_cfront::ast::{Item, Program};
 use qual_cfront::pretty::render_program;
 use qual_cfront::{CTy, CTyKind};
 
-use crate::count::{ConstResult, Position};
+use crate::count::{const_able, ConstAble, ConstResult};
 
 /// Returns a copy of `prog` with `const` inserted at every const-able
 /// interesting position of `result` (defined functions' parameter and
 /// return types; prototypes of defined functions are updated to match).
 #[must_use]
 pub fn apply_consts(prog: &Program, result: &ConstResult) -> Program {
+    let can = const_able(&result.positions);
+    let defined: HashSet<&str> = prog.functions().map(|f| f.name.as_str()).collect();
     let mut out = prog.clone();
     for item in &mut out.items {
         match item {
             Item::Func(f) => {
                 for (i, (_, pty)) in f.params.iter_mut().enumerate() {
-                    *pty = with_consts(pty, &result.positions, &f.name, Some(i));
+                    *pty = with_consts(pty, &can, &f.name, Some(i));
                 }
-                f.ret = with_consts(&f.ret, &result.positions, &f.name, None);
+                f.ret = with_consts(&f.ret, &can, &f.name, None);
             }
-            Item::Proto { name, sig, .. } => {
-                // Keep prototypes of *defined* functions in sync.
-                let defined = prog.function(name).is_some();
-                if defined {
-                    for (i, pty) in sig.params.iter_mut().enumerate() {
-                        *pty = with_consts(pty, &result.positions, name, Some(i));
-                    }
-                    sig.ret = with_consts(&sig.ret, &result.positions, name, None);
+            // Keep prototypes of *defined* functions in sync.
+            Item::Proto { name, sig, .. } if defined.contains(name.as_str()) => {
+                for (i, pty) in sig.params.iter_mut().enumerate() {
+                    *pty = with_consts(pty, &can, name, Some(i));
                 }
+                sig.ret = with_consts(&sig.ret, &can, name, None);
             }
             _ => {}
         }
@@ -54,29 +55,12 @@ pub fn rewrite_source(prog: &Program, result: &ConstResult) -> String {
 }
 
 /// Sets `is_const` on each pointee level classified const-able.
-fn with_consts(
-    ty: &CTy,
-    positions: &[Position],
-    func: &str,
-    param: Option<usize>,
-) -> CTy {
-    fn can(positions: &[Position], func: &str, param: Option<usize>, level: usize) -> bool {
-        positions
-            .iter()
-            .find(|p| p.function == func && p.param == param && p.level == level)
-            .is_some_and(Position::can_be_const)
-    }
-    fn go(
-        ty: &CTy,
-        level: usize,
-        positions: &[Position],
-        func: &str,
-        param: Option<usize>,
-    ) -> CTy {
+fn with_consts(ty: &CTy, table: &ConstAble<'_>, func: &str, param: Option<usize>) -> CTy {
+    fn go(ty: &CTy, level: usize, table: &ConstAble<'_>, func: &str, param: Option<usize>) -> CTy {
         match &ty.kind {
             CTyKind::Ptr(inner) => {
-                let mut new_inner = go(inner, level + 1, positions, func, param);
-                if can(positions, func, param, level) {
+                let mut new_inner = go(inner, level + 1, table, func, param);
+                if table.get(&(func, param, level)) == Some(&true) {
                     new_inner.is_const = true;
                 }
                 CTy {
@@ -85,8 +69,8 @@ fn with_consts(
                 }
             }
             CTyKind::Array(inner, n) => {
-                let mut new_inner = go(inner, level + 1, positions, func, param);
-                if can(positions, func, param, level) {
+                let mut new_inner = go(inner, level + 1, table, func, param);
+                if table.get(&(func, param, level)) == Some(&true) {
                     new_inner.is_const = true;
                 }
                 CTy {
@@ -97,7 +81,7 @@ fn with_consts(
             _ => ty.clone(),
         }
     }
-    go(ty, 0, positions, func, param)
+    go(ty, 0, table, func, param)
 }
 
 #[cfg(test)]

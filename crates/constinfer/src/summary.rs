@@ -246,13 +246,13 @@ pub fn analyze_unit(req: &UnitRequest<'_>) -> UnitSummary {
         UnitKind::Scc { names, recursive } => {
             if req.mode == Mode::Monomorphic {
                 for name in names {
-                    if let Some(f) = req.prog.function(name) {
+                    if let Some(f) = req.sema.function(req.prog, name) {
                         eng.make_sig(f);
                     }
                 }
                 make_proxies(&mut eng, req);
                 for name in names {
-                    if let Some(f) = req.prog.function(name) {
+                    if let Some(f) = req.sema.function(req.prog, name) {
                         eng.analyze_mono_fn(f, &mut diags);
                     }
                 }
@@ -289,7 +289,7 @@ pub fn analyze_unit(req: &UnitRequest<'_>) -> UnitSummary {
 /// template).
 fn make_proxies(eng: &mut Engine<'_>, req: &UnitRequest<'_>) {
     for name in req.proxies {
-        if let Some(f) = req.prog.function(name) {
+        if let Some(f) = req.sema.function(req.prog, name) {
             eng.make_sig(f);
         }
     }
@@ -376,7 +376,7 @@ fn resolve_anchor(eng: &mut Engine<'_>, prog: &Program, v: &CanonVar) -> QVar {
             if !eng.sigs.contains_key(func) {
                 // A grand-callee mentioned only inside a captured
                 // constraint set: materialize its template now.
-                if let Some(f) = prog.function(func) {
+                if let Some(f) = eng.sema.function(prog, func) {
                     eng.make_sig(f);
                 }
             }
@@ -460,7 +460,7 @@ fn label_vars(eng: &Engine<'_>, prog: &Program) -> Vec<CanonVar> {
             );
         }
     }
-    for item in &prog.items {
+    for item in eng.sema.global_decls(prog) {
         if let Item::Global { name, .. } = item {
             if let Some(&cell) = eng.globals.get(name) {
                 let mut vars = Vec::new();
@@ -601,11 +601,13 @@ fn export(
 
     // Positions, exactly as `count::classify` walks them: per member in
     // program order, parameters (spine per level) then the return spine.
+    let mut member_fns: Vec<_> = members
+        .iter()
+        .filter_map(|m| req.sema.function(req.prog, m))
+        .collect();
+    member_fns.sort_by_key(|f| req.sema.defined[&f.name]);
     let mut positions = Vec::new();
-    for f in req.prog.functions() {
-        if !members.iter().any(|m| m == &f.name) {
-            continue;
-        }
+    for f in member_fns {
         let Some(sig) = eng.sigs.get(&f.name) else {
             continue;
         };
@@ -645,6 +647,10 @@ fn export(
         .ok()
         .map(|sol| {
             let (vars, _) = dense_vars(&constraints);
+            let mut var_of: HashMap<&CanonVar, usize> = HashMap::with_capacity(labels.len());
+            for (i, label) in labels.iter().enumerate() {
+                var_of.entry(label).or_insert(i);
+            }
             let mut least = Vec::with_capacity(vars.len());
             let mut greatest = Vec::with_capacity(vars.len());
             for v in &vars {
@@ -652,13 +658,10 @@ fn export(
                 // canonical constraints; look the variable back up by
                 // inverting the labeling.
                 let q = match v {
-                    CanonQual::Var(label) => {
-                        let idx = labels.iter().position(|l| l == label);
-                        match idx {
-                            Some(i) => Qual::Var(QVar::from_index(i)),
-                            None => continue,
-                        }
-                    }
+                    CanonQual::Var(label) => match var_of.get(label) {
+                        Some(&i) => Qual::Var(QVar::from_index(i)),
+                        None => continue,
+                    },
                     CanonQual::Const(bits) => Qual::Const(QualSet::from_bits(*bits)),
                 };
                 least.push(sol.eval_least(q).bits());

@@ -1441,12 +1441,48 @@ mod tests {
     use super::*;
     use crate::proto::PROTO_VERSION;
 
-    fn temp_socket(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
+    /// A test's socket path. Dropping it removes the socket and its
+    /// `<socket>.lock`, also when the test panics.
+    struct TempSocket(PathBuf);
+
+    impl TempSocket {
+        fn lock_file(&self) -> PathBuf {
+            let mut lock = self.0.clone().into_os_string();
+            lock.push(".lock");
+            lock.into()
+        }
+    }
+
+    impl std::ops::Deref for TempSocket {
+        type Target = PathBuf;
+
+        fn deref(&self) -> &PathBuf {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempSocket {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempSocket {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_file(self.lock_file());
+        }
+    }
+
+    /// A fresh socket path, clear of a previous run's debris.
+    fn temp_socket(tag: &str) -> TempSocket {
+        let socket = TempSocket(std::env::temp_dir().join(format!(
             "cquald-{tag}-{}-{:?}.sock",
             std::process::id(),
             thread::current().id()
-        ))
+        )));
+        let _ = std::fs::remove_file(&socket.0);
+        socket
     }
 
     fn req(src: &str) -> AnalyzeReq {
@@ -1485,7 +1521,6 @@ mod tests {
     #[test]
     fn serve_analyze_query_stats_shutdown_end_to_end() {
         let socket = temp_socket("e2e");
-        let _ = std::fs::remove_file(&socket);
         let handle = serve(ServeConfig::for_socket(socket.clone())).expect("serve");
         let conn = Connect::new(socket.clone());
         let src = "int f(const char *s) { return *s; }
@@ -1541,9 +1576,8 @@ mod tests {
     #[test]
     fn idle_daemon_picks_up_each_connection_without_a_poll_delay() {
         let socket = temp_socket("latency");
-        let _ = std::fs::remove_file(&socket);
         let handle = serve(ServeConfig::for_socket(socket.clone())).expect("serve");
-        let conn = Connect::new(socket);
+        let conn = Connect::new(socket.clone());
         // Each round trip opens a fresh connection; a polling accept
         // loop would add its sleep to every one of them.
         let t = Instant::now();
@@ -1561,7 +1595,6 @@ mod tests {
     #[test]
     fn stop_is_bounded_when_the_wake_connection_cannot_land() {
         let socket = temp_socket("unlinked");
-        let _ = std::fs::remove_file(&socket);
         let bound = DRAIN_DEADLINE + Duration::from_secs(1);
         let handle = serve(ServeConfig::for_socket(socket.clone())).expect("serve");
         // One round trip proves the accept thread runs; the pause lets
@@ -1583,7 +1616,6 @@ mod tests {
     #[test]
     fn second_daemon_refuses_a_live_socket() {
         let socket = temp_socket("live");
-        let _ = std::fs::remove_file(&socket);
         let handle = serve(ServeConfig::for_socket(socket.clone())).expect("serve");
         let err = serve(ServeConfig::for_socket(socket.clone()))
             .err()
@@ -1595,7 +1627,6 @@ mod tests {
     #[test]
     fn stale_socket_without_a_claim_is_stolen() {
         let socket = temp_socket("stale");
-        let _ = std::fs::remove_file(&socket);
         // A dead daemon's debris: the socket file exists and nothing
         // listens on it.
         drop(UnixListener::bind(&socket).expect("debris socket"));
@@ -1611,7 +1642,7 @@ mod tests {
             Some(1)
         );
         // And the stolen socket actually serves.
-        let conn = Connect::new(socket);
+        let conn = Connect::new(socket.clone());
         assert!(request_stats(&conn).is_ok());
         handle.stop();
     }
@@ -1623,17 +1654,13 @@ mod tests {
         // written at its startup. Only the liveness probe decides, so a
         // restart serves at once.
         let socket = temp_socket("fresh-lock");
-        let mut lock_file = socket.clone().into_os_string();
-        lock_file.push(".lock");
-        let _ = std::fs::remove_file(&socket);
         drop(UnixListener::bind(&socket).expect("debris socket"));
-        std::fs::write(&lock_file, "pid 1\n").expect("fresh lock file");
+        std::fs::write(socket.lock_file(), "pid 1\n").expect("fresh lock file");
         let t = Instant::now();
         let handle = serve(ServeConfig::for_socket(socket.clone()))
             .expect("startup must steal the socket despite a fresh lock file");
         assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
-        assert!(request_stats(&Connect::new(socket)).is_ok());
+        assert!(request_stats(&Connect::new(socket.clone())).is_ok());
         handle.stop();
-        let _ = std::fs::remove_file(&lock_file);
     }
 }

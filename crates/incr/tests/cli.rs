@@ -173,6 +173,37 @@ fn jobs_and_cache_flags_report_identically_to_serial() {
 }
 
 #[test]
+fn a_function_defined_twice_reports_identically_with_and_without_jobs() {
+    let dir = TempDir::new("redefined");
+    dir.write(
+        "dup.c",
+        "int f(char *p) { return *p; }\n\
+         int f(char *p) { *p = 1; return 0; }\n\
+         int g(char *q) { return f(q); }\n",
+    );
+    let file = dir.0.join("dup.c");
+    let file = file.to_str().unwrap();
+
+    let serial = cqual(&[file]);
+    let stdout = String::from_utf8_lossy(&serial.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&serial.stderr);
+    assert_eq!(
+        serial.status.code(),
+        Some(1),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
+    assert!(stderr.contains("redefinition of function `f`"), "{stderr}");
+    // Neither body of `f` is analyzed: `g` alone has a position, and
+    // the call into the library-treated `f` writes through it.
+    assert!(stdout.starts_with("1 interesting positions"), "{stdout}");
+    assert!(stdout.contains("g(arg 0, level 0)"), "{stdout}");
+
+    let jobs = cqual(&["--jobs", "2", file]);
+    assert_eq!(jobs.status.code(), serial.status.code());
+    assert_eq!(String::from_utf8_lossy(&jobs.stdout), stdout);
+}
+
+#[test]
 fn warm_cache_run_reuses_every_unit() {
     let dir = TempDir::new("warm");
     dir.write(
