@@ -23,8 +23,9 @@
 //!
 //! One timing check is an ordering, not a threshold, and holds even
 //! under `--timings-warn-only`: a profile's memo-warm served request
-//! (`serve_warm_ns`) must be faster than its cold one (`serve_cold_ns`),
-//! since the warm one runs no analysis.
+//! (`serve_warm_ns`, the median of `--reps` repeats) must be faster
+//! than its cold one (`serve_cold_ns`), since the warm one runs no
+//! analysis.
 //!
 //! Exit codes: 0 clean; 1 count drift; 2 timing regression (unless
 //! `--timings-warn-only`); 3 a benchmark failed to produce a certified
@@ -33,8 +34,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
-use qual_bench::{bench_doc, compare_bench_docs, measure_certified, BenchDrift};
+use qual_bench::{bench_doc, compare_bench_docs, measure_certified, median_and_min, BenchDrift};
 use qual_cgen::bench_profiles;
 use qual_incr::{analyze_source_incremental, IncrConfig};
 use qual_obs::json::Json;
@@ -176,10 +178,11 @@ fn main() -> ExitCode {
         let _ = std::fs::remove_dir_all(&cache);
         // Served pass: the same corpus through a resident analysis
         // server (the `cquald` session, hosted in-process) over its
-        // unix socket — a cold request into the fresh session, then a
-        // memo-warm repeat. The roundtrip wall clocks bound the
-        // daemon's framing/dispatch overhead; the served report must
-        // carry exactly the in-process counts.
+        // unix socket — a cold request into the fresh session, then
+        // `--reps` memo-warm repeats, timed by their median. The
+        // roundtrip wall clocks bound the daemon's framing/dispatch
+        // overhead; the served report must carry exactly the
+        // in-process counts.
         let sock = cache_root.join(format!("{}-serve.sock", p.name));
         let (serve_report, serve_cold_ns, serve_warm_ns) =
             match qual_incr::serve::serve(qual_incr::serve::ServeConfig::for_socket(
@@ -195,12 +198,23 @@ fn main() -> ExitCode {
                         verify: false,
                         deadline_ms: None,
                     };
-                    let t = std::time::Instant::now();
+                    let t = Instant::now();
                     let cold = qual_incr::serve::request_analyze(&conn, &req);
-                    let cold_ns = t.elapsed().as_nanos() as u64;
-                    let t = std::time::Instant::now();
-                    let rewarm = qual_incr::serve::request_analyze(&conn, &req);
-                    let warm_ns = t.elapsed().as_nanos() as u64;
+                    let cold_ns = nanos(t.elapsed());
+                    let mut warm_times = Vec::with_capacity(args.reps as usize);
+                    let mut rewarm = None;
+                    for _ in 0..args.reps {
+                        let t = Instant::now();
+                        let w = qual_incr::serve::request_analyze(&conn, &req);
+                        warm_times.push(t.elapsed());
+                        let warm = matches!(&w, Ok(f) if f.warm);
+                        rewarm = Some(w);
+                        if !warm {
+                            break;
+                        }
+                    }
+                    let warm_ns = nanos(median_and_min(&mut warm_times).0);
+                    let rewarm = rewarm.expect("--reps is at least 1");
                     let _ = handle.stop();
                     match (cold, rewarm) {
                         (Ok(c), Ok(w)) if w.warm => (Some(c), cold_ns, warm_ns),
@@ -393,6 +407,10 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 enum Baseline {

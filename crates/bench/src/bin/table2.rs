@@ -1,7 +1,7 @@
-//! Regenerates **Table 2** of the paper: per-benchmark compile time,
-//! monomorphic and polymorphic inference time (median of five runs,
-//! with the minimum alongside — the paper averaged five; medians resist
-//! timer noise better), and the four const counts (Declared, Mono,
+//! Regenerates **Table 2** of the paper: per-benchmark compile time and
+//! monomorphic and polymorphic inference time (each the median of five
+//! runs, with the minimum alongside — the paper averaged five; medians
+//! resist timer noise better), and the four const counts (Declared, Mono,
 //! Poly, Total possible). Every row is **certified**: the solver's solution is
 //! re-checked against the full constraint set before its counts are
 //! printed, and a benchmark whose analysis or certification fails prints
@@ -24,10 +24,10 @@ fn main() {
     println!("Table 2: Number of inferred possibly-const positions for benchmarks");
     println!("(times are median/min over {} run(s))", runs.max(3));
     println!(
-        "{:<16} {:>9} {:>12} {:>17} {:>17} {:>9} {:>6} {:>6} {:>15}",
+        "{:<16} {:>9} {:>20} {:>17} {:>17} {:>9} {:>6} {:>6} {:>15}",
         "Name",
         "Lines",
-        "Compile (s)",
+        "Compile med/min (s)",
         "Mono med/min (s)",
         "Poly med/min (s)",
         "Declared",
@@ -35,7 +35,7 @@ fn main() {
         "Poly",
         "Total possible"
     );
-    println!("{}", "-".repeat(116));
+    println!("{}", "-".repeat(124));
     let mut rows = Vec::new();
     let mut failed = 0usize;
     for p in bench_profiles() {
@@ -53,10 +53,14 @@ fn main() {
             continue;
         };
         println!(
-            "{:<16} {:>9} {:>12.3} {:>17} {:>17} {:>9} {:>6} {:>6} {:>15}",
+            "{:<16} {:>9} {:>20} {:>17} {:>17} {:>9} {:>6} {:>6} {:>15}",
             row.name,
             row.lines,
-            row.compile.as_secs_f64(),
+            format!(
+                "{:.3}/{:.3}",
+                row.compile.as_secs_f64(),
+                row.compile_min.as_secs_f64()
+            ),
             format!(
                 "{:.3}/{:.3}",
                 row.mono_time.as_secs_f64(),

@@ -9,6 +9,10 @@ use crate::types::{CTy, FnTy};
 pub struct Program {
     /// Top-level items in source order.
     pub items: Vec<Item>,
+    /// How many expression ids the parser handed out: every
+    /// [`Expr::id`] in `items` is below it, so per-expression tables
+    /// can be dense vectors of this length.
+    pub expr_ids: u32,
 }
 
 /// Storage class of a declaration.
@@ -272,7 +276,7 @@ pub enum AssignOp {
     Compound(BinOp),
 }
 
-/// An expression node with a unique id (sema results are keyed by it).
+/// An expression node with a unique id (sema results are indexed by it).
 #[derive(Debug, Clone)]
 pub struct Expr {
     /// The form.

@@ -161,12 +161,25 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> SpannedTok {
-        let t = self.toks[self.pos].clone();
+    /// Consumes the current token and returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.toks[self.pos].span;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Consumes the current identifier or string literal and moves its
+    /// text out of the token: the parser never reads a consumed token
+    /// again, so the text need not be cloned.
+    fn bump_text(&mut self) -> String {
+        let text = match &mut self.toks[self.pos].tok {
+            Tok::Ident(s) | Tok::StrLit(s) => std::mem::take(s),
+            _ => String::new(),
+        };
+        self.bump();
+        text
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
@@ -180,7 +193,7 @@ impl Parser {
 
     fn expect(&mut self, t: &Tok) -> Result<Span, CError> {
         if self.peek() == t {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(CError::at(
                 self.peek_span(),
@@ -190,8 +203,11 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<(String, Span), CError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => Ok((s, self.bump().span)),
+        match self.peek() {
+            Tok::Ident(_) => {
+                let span = self.peek_span();
+                Ok((self.bump_text(), span))
+            }
             other => Err(CError::at(
                 self.peek_span(),
                 format!("expected identifier, found {other}"),
@@ -224,6 +240,7 @@ impl Parser {
             prog.items.extend(self.items.drain(before..));
             prog.items.extend(item);
         }
+        prog.expr_ids = self.next_expr_id;
         Ok(prog)
     }
 
@@ -257,6 +274,7 @@ impl Parser {
                 }
             }
         }
+        prog.expr_ids = self.next_expr_id;
         RecoveredParse {
             program: prog,
             errors,
@@ -408,7 +426,7 @@ impl Parser {
         let mut saw_unsigned = false;
         let mut scalar: Option<Scalar> = None;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::KwConst => {
                     self.bump();
                     is_const = true;
@@ -468,7 +486,7 @@ impl Parser {
                     base = Some(self.enum_specifier()?);
                 }
                 Tok::Ident(name) if base.is_none() && scalar.is_none() => {
-                    if let Some(alias) = self.typedefs.get(&name).cloned() {
+                    if let Some(alias) = self.typedefs.get(name).cloned() {
                         // Typedef expansion (§4.2): substitute eagerly.
                         self.bump();
                         base = Some(alias);
@@ -504,11 +522,8 @@ impl Parser {
 
     fn struct_specifier_inner(&mut self) -> Result<CTy, CError> {
         let span = self.peek_span();
-        let name = match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                s
-            }
+        let name = match self.peek() {
+            Tok::Ident(_) => self.bump_text(),
             _ => {
                 self.anon_counter += 1;
                 format!("__anon_struct_{}", self.anon_counter)
@@ -545,11 +560,8 @@ impl Parser {
 
     fn enum_specifier(&mut self) -> Result<CTy, CError> {
         let span = self.peek_span();
-        let name = match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                s
-            }
+        let name = match self.peek() {
+            Tok::Ident(_) => self.bump_text(),
             _ => {
                 self.anon_counter += 1;
                 format!("__anon_enum_{}", self.anon_counter)
@@ -564,7 +576,7 @@ impl Parser {
                     // Constant expressions: accept a literal (possibly
                     // negated); anything fancier keeps the running value.
                     let neg = self.eat(&Tok::Minus);
-                    if let Tok::IntLit(v) = self.peek().clone() {
+                    if let &Tok::IntLit(v) = self.peek() {
                         self.bump();
                         next_val = if neg { -v } else { v };
                     }
@@ -658,9 +670,8 @@ impl Parser {
             let n = self.declarator_ops(&mut inner)?;
             self.expect(&Tok::RParen)?;
             n
-        } else if let Tok::Ident(s) = self.peek().clone() {
-            self.bump();
-            Some(s)
+        } else if let Tok::Ident(_) = self.peek() {
+            Some(self.bump_text())
         } else {
             None
         };
@@ -669,7 +680,7 @@ impl Parser {
         let mut suffixes = Vec::new();
         loop {
             if self.eat(&Tok::LBracket) {
-                let n = if let Tok::IntLit(v) = self.peek().clone() {
+                let n = if let &Tok::IntLit(v) = self.peek() {
                     self.bump();
                     Some(v.max(0) as u64)
                 } else {
@@ -737,7 +748,7 @@ impl Parser {
         if self.peek() == &Tok::LBrace {
             // Aggregate initializer: parse the elements but represent the
             // aggregate as a comma chain (the analysis only needs flows).
-            let lo = self.bump().span;
+            let lo = self.bump();
             let mut parts = Vec::new();
             while self.peek() != &Tok::RBrace {
                 parts.push(self.initializer()?);
@@ -815,7 +826,7 @@ impl Parser {
 
     fn stmt_inner(&mut self) -> Result<Stmt, CError> {
         let span = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
             Tok::KwIf => {
                 self.bump();
@@ -888,16 +899,16 @@ impl Parser {
                 self.expect(&Tok::LBrace)?;
                 let mut arms: Vec<SwitchArm> = Vec::new();
                 while self.peek() != &Tok::RBrace {
-                    match self.peek().clone() {
+                    match self.peek() {
                         Tok::KwCase => {
                             self.bump();
                             let neg = self.eat(&Tok::Minus);
-                            let v = match self.peek().clone() {
-                                Tok::IntLit(v) => {
+                            let v = match self.peek() {
+                                &Tok::IntLit(v) => {
                                     self.bump();
                                     if neg { -v } else { v }
                                 }
-                                Tok::CharLit(v) => {
+                                &Tok::CharLit(v) => {
                                     self.bump();
                                     v
                                 }
@@ -953,9 +964,9 @@ impl Parser {
             }
             // A label: `name:` followed by a statement.
             Tok::Ident(name)
-                if self.peek2() == &Tok::Colon && !self.typedefs.contains_key(&name) =>
+                if self.peek2() == &Tok::Colon && !self.typedefs.contains_key(name) =>
             {
-                self.bump();
+                let name = self.bump_text();
                 self.bump();
                 let inner = self.stmt()?;
                 Ok(Stmt::Label(name, Box::new(inner)))
@@ -1223,7 +1234,7 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, CError> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::LParen => {
                     self.bump();
                     let mut args = Vec::new();
@@ -1259,12 +1270,12 @@ impl Parser {
                     e = self.expr_node(ExprKind::PMember(Box::new(e), f), span);
                 }
                 Tok::PlusPlus => {
-                    let hi = self.bump().span;
+                    let hi = self.bump();
                     let span = e.span.to(hi);
                     e = self.expr_node(ExprKind::PostIncDec(Box::new(e), true), span);
                 }
                 Tok::MinusMinus => {
-                    let hi = self.bump().span;
+                    let hi = self.bump();
                     let span = e.span.to(hi);
                     e = self.expr_node(ExprKind::PostIncDec(Box::new(e), false), span);
                 }
@@ -1276,21 +1287,21 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, CError> {
         let span = self.peek_span();
-        match self.peek().clone() {
-            Tok::IntLit(n) => {
+        match self.peek() {
+            &Tok::IntLit(n) => {
                 self.bump();
                 Ok(self.expr_node(ExprKind::IntLit(n), span))
             }
-            Tok::CharLit(c) => {
+            &Tok::CharLit(c) => {
                 self.bump();
                 Ok(self.expr_node(ExprKind::CharLit(c), span))
             }
-            Tok::StrLit(s) => {
-                self.bump();
+            Tok::StrLit(_) => {
+                let s = self.bump_text();
                 Ok(self.expr_node(ExprKind::StrLit(s), span))
             }
-            Tok::Ident(x) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let x = self.bump_text();
                 Ok(self.expr_node(ExprKind::Ident(x), span))
             }
             Tok::LParen => {
@@ -1492,6 +1503,96 @@ mod tests {
     fn switch_with_enum_case_values() {
         ok("enum color { RED, BLUE };
             int f(int c) { switch (c) { case RED: return 1; case BLUE: return 2; default: return 0; } }");
+    }
+
+    /// The first error `parse` reports on `src`, as `(lo, hi, message)`.
+    fn first_error(src: &str) -> (u32, u32, String) {
+        let e = parse(src).expect_err("must not parse");
+        (e.span.lo, e.span.hi, e.message)
+    }
+
+    #[test]
+    fn error_messages_name_the_offending_token() {
+        let golden: [(&str, (u32, u32, &str)); 11] = [
+            (
+                "int f(struct s *p) { return p->7; }",
+                (31, 32, "expected identifier, found integer `7`"),
+            ),
+            (
+                "int g(void) { goto \"x\"; }",
+                (19, 22, "expected identifier, found string literal"),
+            ),
+            ("enum E { 3 };", (9, 10, "expected identifier, found integer `3`")),
+            (
+                "enum E { A, B }; int h(struct s v) { return v.; }",
+                (46, 47, "expected identifier, found `;`"),
+            ),
+            ("int m(void) { return ); }", (21, 22, "expected expression, found `)`")),
+            ("int m(int x) { return x + ; }", (26, 27, "expected expression, found `;`")),
+            ("int m(void) { return", (20, 20, "expected expression, found end of file")),
+            (
+                "int k(int c) { switch (c) { case +: return 1; } }",
+                (33, 34, "expected case value, found `+`"),
+            ),
+            (
+                "int k(int c) { switch (c) { case \"s\": return 1; } }",
+                (33, 36, "expected case value, found string literal"),
+            ),
+            // A typedef name followed by `:` is not a label: the
+            // statement parses as a declaration and has no declarator.
+            (
+                "typedef int T; int f(int x) { T: x = 1; return x; }",
+                (31, 32, "expected declarator"),
+            ),
+            // A label's text is the identifier's, moved out of its token.
+            ("int f(int x) { out: return x + ; }", (31, 32, "expected expression, found `;`")),
+        ];
+        for (src, (lo, hi, msg)) in golden {
+            assert_eq!(first_error(src), (lo, hi, msg.to_owned()), "{src}");
+        }
+    }
+
+    #[test]
+    fn consumed_token_text_lands_in_the_tree() {
+        // Identifier and string text is moved out of each token: every
+        // name must still arrive intact, also after a typedef name and
+        // a label that share the token kind.
+        let p = ok("typedef char *str;
+                    str pick(str s, int n) { again: if (n) { n--; goto again; } return \"lit\"; }
+                    int use(void) { str t = pick(\"abc\", 2); return t[0]; }");
+        let f = p.function("pick").unwrap();
+        assert_eq!(f.params[0].0, "s");
+        assert_eq!(f.params[0].1.to_string(), "ptr(char)");
+        let Stmt::Label(label, inner) = &f.body.stmts[0] else {
+            panic!("expected a label, got {:?}", f.body.stmts[0]);
+        };
+        assert_eq!(label, "again");
+        assert!(matches!(**inner, Stmt::If { .. }));
+        let Stmt::Return(Some(e), _) = &f.body.stmts[1] else {
+            panic!("expected a return");
+        };
+        assert!(matches!(&e.kind, ExprKind::StrLit(s) if s == "lit"));
+        let g = p.function("use").unwrap();
+        let Stmt::Decl { name, init: Some(init), .. } = &g.body.stmts[0] else {
+            panic!("expected a declaration");
+        };
+        assert_eq!(name, "t");
+        let ExprKind::Call(callee, args) = &init.kind else {
+            panic!("expected a call");
+        };
+        assert!(matches!(&callee.kind, ExprKind::Ident(n) if n == "pick"));
+        assert!(matches!(&args[0].kind, ExprKind::StrLit(s) if s == "abc"));
+    }
+
+    #[test]
+    fn expression_ids_are_counted() {
+        let p = ok("int f(int x) { return x + 1; } int g = 2;");
+        // `x`, `1`, `x + 1` and `2`.
+        assert_eq!(p.expr_ids, 4);
+        let r = parse_with_recovery("int a = 1 +; int g(int y) { return y; }");
+        assert_eq!(r.errors.len(), 1);
+        // The broken item's `1` keeps its id; `y` is the next one.
+        assert_eq!(r.program.expr_ids, 2);
     }
 
     #[test]

@@ -19,13 +19,8 @@ use crate::types::{CTy, CTyKind, FnTy, Scalar};
 /// What an identifier refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Resolution {
-    /// A local variable or parameter of the named function.
-    Local {
-        /// The enclosing function.
-        func: String,
-        /// The variable name.
-        name: String,
-    },
+    /// A local variable or parameter of the enclosing function.
+    Local,
     /// A global variable.
     Global(String),
     /// A defined or declared function.
@@ -35,15 +30,21 @@ pub enum Resolution {
 }
 
 /// The result of semantic analysis.
+///
+/// The three per-expression tables are dense vectors indexed by
+/// [`Expr::id`], one slot for each of the [`Program::expr_ids`] ids the
+/// parser handed out. A slot sema never filled (an expression in a body
+/// that failed analysis, or an id with no node in the program) is
+/// `None` / `false`.
 #[derive(Debug, Default)]
 pub struct Sema {
     /// The C type of every expression node (r-value types are *not*
     /// array-decayed here; consumers call [`CTy::decayed`] as needed).
-    pub expr_ty: HashMap<u32, CTy>,
+    pub expr_ty: Vec<Option<CTy>>,
     /// Whether each expression is an l-value.
-    pub lvalue: HashMap<u32, bool>,
+    pub lvalue: Vec<bool>,
     /// What each identifier expression resolved to.
-    pub resolution: HashMap<u32, Resolution>,
+    pub resolution: Vec<Option<Resolution>>,
     /// Struct tag → fields.
     pub structs: HashMap<String, Vec<(String, CTy)>>,
     /// Every function signature in the program (defined and declared).
@@ -68,16 +69,41 @@ impl Sema {
     ///
     /// # Panics
     ///
-    /// Panics if `e` does not belong to the analyzed program.
+    /// Panics if sema never typed `e`.
     #[must_use]
     pub fn ty(&self, e: &Expr) -> &CTy {
-        &self.expr_ty[&e.id]
+        self.ty_of(e.id).expect("expression typed by sema")
+    }
+
+    /// The type of the expression with id `id`, or `None` if sema never
+    /// typed it.
+    #[must_use]
+    pub fn ty_of(&self, id: u32) -> Option<&CTy> {
+        self.expr_ty.get(id as usize)?.as_ref()
+    }
+
+    /// What the identifier expression with id `id` resolved to, or
+    /// `None` if sema never resolved it.
+    #[must_use]
+    pub fn resolution_of(&self, id: u32) -> Option<&Resolution> {
+        self.resolution.get(id as usize)?.as_ref()
     }
 
     /// Whether `e` is an l-value.
     #[must_use]
     pub fn is_lvalue(&self, e: &Expr) -> bool {
-        self.lvalue.get(&e.id).copied().unwrap_or(false)
+        self.lvalue.get(e.id as usize).copied().unwrap_or(false)
+    }
+
+    /// Makes sure the per-expression tables have a slot for id `i`. They
+    /// are sized from [`Program::expr_ids`] up front, so this grows them
+    /// only for a program whose count is short (one built by hand).
+    fn reserve_id(&mut self, i: usize) {
+        if i >= self.expr_ty.len() {
+            self.expr_ty.resize(i + 1, None);
+            self.lvalue.resize(i + 1, false);
+            self.resolution.resize(i + 1, None);
+        }
     }
 
     /// Whether `name` is a defined (analyzable) function.
@@ -108,7 +134,13 @@ impl Sema {
 /// Pass 1: collect type-level and signature-level information. This
 /// pass is total — a malformed body cannot fail it.
 fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
-    let mut sema = Sema::default();
+    let n = prog.expr_ids as usize;
+    let mut sema = Sema {
+        expr_ty: vec![None; n],
+        lvalue: vec![false; n],
+        resolution: vec![None; n],
+        ..Sema::default()
+    };
     let mut enum_consts: HashMap<String, i64> = HashMap::new();
     for (i, item) in prog.items.iter().enumerate() {
         match item {
@@ -152,13 +184,11 @@ pub fn analyze(prog: &Program) -> Result<Sema, CError> {
         sema: &mut sema,
         enum_consts: &enum_consts,
         scopes: Vec::new(),
-        current_fn: String::new(),
     };
     for (i, item) in prog.items.iter().enumerate() {
         match item {
             Item::Func(f) => cx.check_def(i, f)?,
             Item::Global { init: Some(e), .. } => {
-                cx.current_fn.clear();
                 cx.scopes.clear();
                 cx.expr(e)?;
             }
@@ -200,7 +230,6 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
         sema: &mut sema,
         enum_consts: &enum_consts,
         scopes: Vec::new(),
-        current_fn: String::new(),
     };
     for (i, item) in prog.items.iter().enumerate() {
         match item {
@@ -214,7 +243,6 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
                 init: Some(e),
                 ..
             } => {
-                cx.current_fn.clear();
                 cx.scopes.clear();
                 if let Err(e) = cx.expr(e) {
                     failed_globals.push((name.clone(), e));
@@ -239,7 +267,6 @@ struct Cx<'a> {
     sema: &'a mut Sema,
     enum_consts: &'a HashMap<String, i64>,
     scopes: Vec<HashMap<String, CTy>>,
-    current_fn: String,
 }
 
 impl Cx<'_> {
@@ -256,7 +283,6 @@ impl Cx<'_> {
     }
 
     fn check_fn(&mut self, f: &FnDef) -> Result<(), CError> {
-        self.current_fn = f.name.clone();
         self.scopes.clear();
         let mut top = HashMap::new();
         for (name, ty) in &f.params {
@@ -346,10 +372,17 @@ impl Cx<'_> {
         self.scopes.iter().rev().find_map(|s| s.get(name))
     }
 
-    fn record(&mut self, e: &Expr, ty: CTy, lvalue: bool) -> CTy {
-        self.sema.expr_ty.insert(e.id, ty.clone());
-        self.sema.lvalue.insert(e.id, lvalue);
-        ty
+    fn record(&mut self, e: &Expr, ty: CTy, lvalue: bool) {
+        let i = e.id as usize;
+        self.sema.reserve_id(i);
+        self.sema.expr_ty[i] = Some(ty);
+        self.sema.lvalue[i] = lvalue;
+    }
+
+    fn resolve(&mut self, e: &Expr, r: Resolution) {
+        let i = e.id as usize;
+        self.sema.reserve_id(i);
+        self.sema.resolution[i] = Some(r);
     }
 
     fn field_of(&self, ty: &CTy, field: &str, e: &Expr) -> Result<CTy, CError> {
@@ -388,33 +421,21 @@ impl Cx<'_> {
             ExprKind::Ident(name) => {
                 if let Some(ty) = self.lookup_local(name) {
                     let ty = ty.clone();
-                    self.sema.resolution.insert(
-                        e.id,
-                        Resolution::Local {
-                            func: self.current_fn.clone(),
-                            name: name.clone(),
-                        },
-                    );
+                    self.resolve(e, Resolution::Local);
                     (ty, true)
                 } else if let Some(ty) = self.sema.globals.get(name) {
                     let ty = ty.clone();
-                    self.sema
-                        .resolution
-                        .insert(e.id, Resolution::Global(name.clone()));
+                    self.resolve(e, Resolution::Global(name.clone()));
                     (ty, true)
-                } else if let Some(v) = self.enum_consts.get(name) {
-                    self.sema
-                        .resolution
-                        .insert(e.id, Resolution::EnumConst(*v));
+                } else if let Some(&v) = self.enum_consts.get(name) {
+                    self.resolve(e, Resolution::EnumConst(v));
                     (CTy::int(), false)
                 } else if let Some(sig) = self.sema.signatures.get(name) {
                     let ty = CTy {
                         is_const: false,
                         kind: CTyKind::Func(Box::new(sig.clone())),
                     };
-                    self.sema
-                        .resolution
-                        .insert(e.id, Resolution::Function(name.clone()));
+                    self.resolve(e, Resolution::Function(name.clone()));
                     (ty, false)
                 } else {
                     return Err(CError::at(
@@ -492,18 +513,17 @@ impl Cx<'_> {
                                 sig
                             }
                         };
-                        self.sema
-                            .resolution
-                            .insert(callee.id, Resolution::Function(name.clone()));
+                        self.resolve(callee, Resolution::Function(name.clone()));
+                        let ret = sig.ret.clone();
                         self.record(
                             callee,
                             CTy {
                                 is_const: false,
-                                kind: CTyKind::Func(Box::new(sig.clone())),
+                                kind: CTyKind::Func(Box::new(sig)),
                             },
                             false,
                         );
-                        sig.ret
+                        ret
                     }
                     _ => {
                         // Calling through an expression (function pointer).
@@ -556,7 +576,8 @@ impl Cx<'_> {
                 (tb, false)
             }
         };
-        Ok(self.record(e, ty, lv))
+        self.record(e, ty.clone(), lv);
+        Ok(ty)
     }
 }
 
@@ -592,7 +613,7 @@ mod tests {
 
     /// Finds the type of the first expression of the given rendered form.
     fn all_types(sema: &Sema) -> Vec<String> {
-        let mut v: Vec<String> = sema.expr_ty.values().map(ToString::to_string).collect();
+        let mut v: Vec<String> = sema.expr_ty.iter().flatten().map(ToString::to_string).collect();
         v.sort();
         v
     }
@@ -674,7 +695,8 @@ mod tests {
         let (_, s) = analyzed("enum e { A, B }; int f(void) { return A + B; }");
         assert!(s
             .resolution
-            .values()
+            .iter()
+            .flatten()
             .any(|r| matches!(r, Resolution::EnumConst(0))));
     }
 
@@ -788,7 +810,134 @@ mod tests {
         assert!(r.failed_functions.is_empty());
         assert!(r.failed_globals.is_empty());
         assert_eq!(r.sema.defined, strict.defined);
-        assert_eq!(r.sema.expr_ty.len(), strict.expr_ty.len());
+        assert_eq!(r.sema.expr_ty, strict.expr_ty);
+        assert_eq!(r.sema.lvalue, strict.lvalue);
+        assert_eq!(r.sema.resolution, strict.resolution);
+    }
+
+    /// The ids of `e` and every expression under it.
+    fn expr_ids(e: &Expr, out: &mut Vec<u32>) {
+        out.push(e.id);
+        match &e.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::CharLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::Ident(_)
+            | ExprKind::Sizeof => {}
+            ExprKind::Unary(_, a)
+            | ExprKind::PostIncDec(a, _)
+            | ExprKind::Member(a, _)
+            | ExprKind::PMember(a, _)
+            | ExprKind::Cast(_, a) => expr_ids(a, out),
+            ExprKind::Binary(_, a, b)
+            | ExprKind::Assign(_, a, b)
+            | ExprKind::Index(a, b)
+            | ExprKind::Comma(a, b) => {
+                expr_ids(a, out);
+                expr_ids(b, out);
+            }
+            ExprKind::Call(f, args) => {
+                expr_ids(f, out);
+                args.iter().for_each(|a| expr_ids(a, out));
+            }
+            ExprKind::Cond(c, t, f) => {
+                expr_ids(c, out);
+                expr_ids(t, out);
+                expr_ids(f, out);
+            }
+        }
+    }
+
+    /// The ids of every expression in `b`.
+    fn block_ids(b: &Block, out: &mut Vec<u32>) {
+        for s in &b.stmts {
+            stmt_ids(s, out);
+        }
+    }
+
+    fn stmt_ids(s: &Stmt, out: &mut Vec<u32>) {
+        match s {
+            Stmt::Decl { init, .. } => init.iter().for_each(|e| expr_ids(e, out)),
+            Stmt::Expr(e) | Stmt::Return(Some(e), _) => expr_ids(e, out),
+            Stmt::If { cond, then, els } => {
+                expr_ids(cond, out);
+                block_ids(then, out);
+                els.iter().for_each(|b| block_ids(b, out));
+            }
+            Stmt::While { cond, body } | Stmt::DoWhile { body, cond } => {
+                expr_ids(cond, out);
+                block_ids(body, out);
+            }
+            Stmt::For { init, cond, step, body } => {
+                init.iter().for_each(|s| stmt_ids(s, out));
+                cond.iter().chain(step).for_each(|e| expr_ids(e, out));
+                block_ids(body, out);
+            }
+            Stmt::Switch { cond, arms } => {
+                expr_ids(cond, out);
+                arms.iter().for_each(|a| block_ids(&a.body, out));
+            }
+            Stmt::Label(_, inner) => stmt_ids(inner, out),
+            Stmt::Block(b) => block_ids(b, out),
+            Stmt::Return(None, _) | Stmt::Goto(..) | Stmt::Break(_) | Stmt::Continue(_) => {}
+        }
+    }
+
+    fn body_ids(p: &Program, name: &str) -> Vec<u32> {
+        let mut ids = Vec::new();
+        block_ids(&p.function(name).expect("defined").body, &mut ids);
+        ids
+    }
+
+    #[test]
+    fn every_id_has_a_slot_and_a_failed_body_stays_untyped() {
+        let p = parse(
+            "struct st { int x; char *name; };
+             enum e { A, B };
+             int g = 3;
+             int ok(struct st *p, int c, char *s) {
+               int n = sizeof(int) + A;
+               for (n = 0; n < c; n++) { s[n] = c ? 'a' : 'b'; }
+               switch (c) { case 1: n = p->x; break; default: n = ok(p, c - 1, s); }
+               return n, g;
+             }
+             int bad(int c, char *p) { return nope ? (c ? p : p) : p[0]; }",
+        )
+        .unwrap();
+        let r = analyze_with_recovery(&p);
+        assert_eq!(r.failed_functions.len(), 1);
+        let n = p.expr_ids as usize;
+        assert!(n > 0);
+        assert_eq!(r.sema.expr_ty.len(), n);
+        assert_eq!(r.sema.lvalue.len(), n);
+        assert_eq!(r.sema.resolution.len(), n);
+
+        let ok_ids = body_ids(&p, "ok");
+        let bad_ids = body_ids(&p, "bad");
+        // Every id the parser handed out is in one body or the global
+        // initializer, and sema typed exactly the healthy ones.
+        assert_eq!(ok_ids.len() + bad_ids.len() + 1, n);
+        for id in ok_ids {
+            assert!(r.sema.ty_of(id).is_some(), "id {id} of `ok` untyped");
+        }
+        for id in bad_ids {
+            assert!(r.sema.ty_of(id).is_none(), "id {id} of `bad` typed");
+            assert!(r.sema.resolution_of(id).is_none(), "id {id} of `bad` resolved");
+            assert!(!r.sema.lvalue[id as usize]);
+        }
+        // Out of range is untyped, not a panic.
+        assert!(r.sema.ty_of(u32::MAX).is_none());
+        assert!(r.sema.resolution_of(u32::MAX).is_none());
+    }
+
+    #[test]
+    fn a_program_without_an_id_count_still_analyzes() {
+        let mut p = parse("int f(int *p) { return *p + 1; }").unwrap();
+        let n = p.expr_ids;
+        p.expr_ids = 0;
+        let s = analyze(&p).unwrap();
+        assert_eq!(s.expr_ty.len(), n as usize);
+        assert!(s.expr_ty.iter().all(Option::is_some));
     }
 
     #[test]
@@ -796,7 +945,8 @@ mod tests {
         let (_, s) = analyzed("int g; int f(void) { g = 1; return g; }");
         assert!(s
             .resolution
-            .values()
+            .iter()
+            .flatten()
             .any(|r| matches!(r, Resolution::Global(_))));
     }
 }

@@ -1062,7 +1062,7 @@ impl<'a> Engine<'a> {
     /// sema never typed it (a fault-isolated body must not bring the
     /// engine down).
     fn sema_ty(&self, e: &Expr) -> Result<CTy, Diagnostic> {
-        self.sema.expr_ty.get(&e.id).cloned().ok_or_else(|| {
+        self.sema.ty_of(e.id).cloned().ok_or_else(|| {
             Diagnostic::error(Phase::Infer, "expression was never typed by sema")
                 .with_span(e.span.lo, e.span.hi)
         })
@@ -1091,8 +1091,8 @@ impl<'a> Engine<'a> {
                 let v = self.translator().rvalue_of(&ty);
                 EVal::rvalue(v)
             }
-            ExprKind::Ident(name) => match self.sema.resolution.get(&e.id) {
-                Some(Resolution::Local { .. }) => {
+            ExprKind::Ident(name) => match self.sema.resolution_of(e.id) {
+                Some(Resolution::Local) => {
                     let Some(cell) = self.lookup_local(name) else {
                         return Err(Diagnostic::error(
                             Phase::Infer,
@@ -1322,7 +1322,7 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|a| self.expr(a))
             .collect::<Result<_, _>>()?;
-        let fname = match (&callee.kind, self.sema.resolution.get(&callee.id)) {
+        let fname = match (&callee.kind, self.sema.resolution_of(callee.id)) {
             (ExprKind::Ident(n), Some(Resolution::Function(_)) | None) => Some(n.clone()),
             _ => None,
         };
@@ -1793,6 +1793,39 @@ mod tests {
             assert!(skipped.is_empty(), "{mode:?}");
             assert_eq!(a.constraints.len(), plain.constraints.len(), "{mode:?}");
             assert_eq!(a.solution.is_ok(), plain.solution.is_ok(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_body_sema_never_typed_is_a_diagnostic_not_a_panic() {
+        // `bad` fails sema at its first expression, so none of its ids
+        // are typed. Handing the engine the unpruned program with `bad`
+        // still marked defined makes it walk that body anyway.
+        let prog = parse(
+            "int bad(int c, char *p) { return nope ? (c ? p : p) : p[0]; }
+             int ok(const char *s) { return s[0]; }",
+        )
+        .unwrap();
+        let mut r = sema::analyze_with_recovery(&prog);
+        assert_eq!(r.failed_functions.len(), 1);
+        r.sema.defined.insert("bad".to_owned(), 0);
+        for mode in [Mode::Monomorphic, Mode::Polymorphic, Mode::PolymorphicRecursive] {
+            let (a, skipped) = run_budgeted(
+                &prog,
+                &r.sema,
+                &QualSpace::const_only(),
+                mode,
+                Options::default(),
+                Budgets::default(),
+            );
+            assert_eq!(skipped.len(), 1, "{mode:?}: {skipped:?}");
+            assert!(
+                skipped[0].message.contains("expression was never typed by sema"),
+                "{mode:?}: {:?}",
+                skipped[0]
+            );
+            assert!(a.solution.is_ok(), "{mode:?}");
+            assert!(a.signatures.contains_key("ok"), "{mode:?}");
         }
     }
 

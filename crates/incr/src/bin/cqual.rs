@@ -98,10 +98,13 @@
 //! Cache infrastructure trouble (corrupt entries, store failures, an
 //! unusable cache directory) is reported on stderr but never changes
 //! the exit code, and neither does `--connect` daemon trouble (the run
-//! degrades in process instead).
+//! degrades in process instead). A reader that closes stdout early
+//! (`cqual big.c | head -1`) ends the output there; the run exits with
+//! the code it computed, without a panic.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use qual_constinfer::{
     analyze_source_with_options_in, rewrite_source, AnalysisOutcome, Budgets,
@@ -118,6 +121,41 @@ use qual_solve::{Phase, SolveFailure};
 /// call when no budget is armed).
 #[global_allocator]
 static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
+
+/// Set once a write to stdout fails with a broken pipe: the reader has
+/// gone away (`cqual big.c | head -1`), so the rest of the output is
+/// dropped and the run still exits with the status it computed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout like `print!`, except that a closed pipe ends the
+/// output quietly instead of panicking.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        } else {
+            panic!("failed printing to stdout: {e}");
+        }
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 const USAGE: &str = "usage: cqual [--mode mono|poly|polyrec] [--report|--annotate|--rewrite]\n\
                      \x20            [--qual LIST] [--list-quals]\n\
@@ -241,7 +279,7 @@ fn main() -> ExitCode {
             },
             "--list-quals" => {
                 // Like --help: informational, stdout, exit 0.
-                print!("{}", qual_constinfer::list_builtins());
+                out!("{}", qual_constinfer::list_builtins());
                 return ExitCode::SUCCESS;
             }
             "--verify" => cfg.verify = true,
@@ -310,7 +348,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 // Requested help is not an error: usage on *stdout*,
                 // exit 0 (the table in the module docs pins this).
-                println!("{USAGE}");
+                outln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             _ if a.starts_with('-') => return usage(),
@@ -351,7 +389,7 @@ fn main() -> ExitCode {
         }
     }
     if cfg.metrics_summary {
-        print!("{}", qual_obs::render_summary(&report, "cqual", mode));
+        out!("{}", qual_obs::render_summary(&report, "cqual", mode));
     }
     code
 }
@@ -474,7 +512,7 @@ fn run_batch(cfg: &Config, files: &[String]) -> ExitCode {
     let mut total = RunStats::default();
     let mut clean = 0usize;
     for f in &inputs {
-        println!("== {f} ==");
+        outln!("== {f} ==");
         match std::fs::read_to_string(f) {
             Ok(src) => {
                 let stats = analyze_and_print(cfg, &src);
@@ -490,7 +528,7 @@ fn run_batch(cfg: &Config, files: &[String]) -> ExitCode {
             }
         }
     }
-    println!(
+    outln!(
         "cqual: {} file(s): {} clean, {} with diagnostics ({} diagnostic(s) total)",
         inputs.len(),
         clean,
@@ -535,7 +573,7 @@ fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
         Action::Report => print_report(cfg, &outcome),
         Action::Annotate => {
             if let Some(result) = &outcome.result {
-                print!("{}", result.annotated_signatures(&outcome.program));
+                out!("{}", result.annotated_signatures(&outcome.program));
             }
         }
         Action::Rewrite => print_rewrite(cfg, src, &outcome),
@@ -556,13 +594,13 @@ fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
         .count();
     if cfg.verify && cert_failures == 0 {
         match (&outcome.result, &outcome.failed) {
-            (Some(result), _) => println!(
+            (Some(result), _) => outln!(
                 "cqual: certified: solution satisfies all {} constraint(s)",
                 result.analysis.constraints.len()
             ),
             (None, Some(analysis)) => {
                 if let Err(SolveFailure::Unsat(err)) = &analysis.solution {
-                    println!(
+                    outln!(
                         "cqual: certified: unsatisfiability witnessed by {} \
                          constraint path(s)",
                         err.violations.len()
@@ -683,7 +721,7 @@ fn analyze_and_print_connect(cfg: &Config, src: &str) -> RunStats {
 /// a local run (empty otherwise).
 fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
     if let Some([total, declared, inferred]) = frame.counts {
-        println!(
+        outln!(
             "{} interesting positions: {} declared const, {} inferable const ({:?})",
             total, declared, inferred, frame.mode
         );
@@ -703,14 +741,14 @@ fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
                     .unwrap_or(PositionClass::Either),
             }
             .label();
-            println!("  {label:<32} {class}{declared}");
+            outln!("  {label:<32} {class}{declared}");
         }
         print_qual_counts(frame.qual_counts.iter().map(|(n, may, must)| {
             (n.as_str(), *may, *must)
         }));
     }
     for line in cache_lines {
-        println!("cqual: cache: {line}");
+        outln!("cqual: cache: {line}");
     }
     if frame.quarantined > 0 {
         eprintln!(
@@ -732,7 +770,7 @@ fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
     }
     let cert_failures = frame.cert_failures as usize;
     if frame.verify && cert_failures == 0 && frame.counts.is_some() {
-        println!(
+        outln!(
             "cqual: certified: solution satisfies all {} constraint(s)",
             frame.constraints
         );
@@ -758,7 +796,7 @@ fn print_explanations(src: &str, outcome: &AnalysisOutcome) {
         err,
     );
     for exp in &exps {
-        print!(
+        out!(
             "{}",
             qual_solve::diag::render_explanation(Some(src), &analysis.space, exp)
         );
@@ -770,7 +808,7 @@ fn print_report(cfg: &Config, outcome: &AnalysisOutcome) {
         return;
     };
     let c = result.counts;
-    println!(
+    outln!(
         "{} interesting positions: {} declared const, {} inferable const ({:?})",
         c.total, c.declared, c.inferred, cfg.mode
     );
@@ -781,7 +819,7 @@ fn print_report(cfg: &Config, outcome: &AnalysisOutcome) {
             PositionClass::Either => "could be const",
         };
         let declared = if p.declared { " [declared]" } else { "" };
-        println!("  {:<32} {class}{declared}", p.label());
+        outln!("  {:<32} {class}{declared}", p.label());
     }
     print_qual_counts(result.qual_counts.iter().map(|q| {
         (q.name.as_str(), q.may as u64, q.must as u64)
@@ -797,9 +835,9 @@ fn print_qual_counts<'a>(rows: impl Iterator<Item = (&'a str, u64, u64)>) {
     if rows.is_empty() || (rows.len() == 1 && rows[0].0 == "const") {
         return;
     }
-    println!("qualifier counts:");
+    outln!("qualifier counts:");
     for (name, may, must) in rows {
-        println!("  {name:<10} {may:>4} may  {must:>4} must");
+        outln!("  {name:<10} {may:>4} may  {must:>4} must");
     }
 }
 
@@ -826,6 +864,6 @@ fn print_rewrite(cfg: &Config, src: &str, outcome: &AnalysisOutcome) {
         (&mono.program, mono.result.as_ref())
     };
     if let Some(result) = result {
-        print!("{}", rewrite_source(prog, result));
+        out!("{}", rewrite_source(prog, result));
     }
 }

@@ -349,6 +349,46 @@ fn verify_with_jobs_certifies_the_merged_system() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_report_without_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let dir = TempDir::new("pipe");
+    // One report line per function: about 200 KiB, more than a pipe
+    // buffer holds, so cqual is still writing when the reader leaves.
+    let src: String = (0..4000)
+        .map(|i| format!("int f{i}(char *p) {{ return p[0]; }}\n"))
+        .collect();
+    dir.write("big.c", &src);
+    let big = dir.0.join("big.c");
+    let full = cqual(&[big.to_str().unwrap()]);
+    assert!(full.stdout.len() > 64 * 1024, "{} bytes", full.stdout.len());
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cqual"))
+        .arg(&big)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cqual");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    assert!(first.contains("interesting positions"), "{first}");
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr");
+    let status = child.wait().expect("cqual exits");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
+    assert_eq!(status.code(), full.status.code(), "{stderr}");
+}
+
+#[test]
 fn bad_jobs_value_is_a_usage_error() {
     let out = cqual(&["--jobs", "0", "x.c"]);
     assert_eq!(out.status.code(), Some(2));

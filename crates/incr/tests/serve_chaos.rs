@@ -21,6 +21,8 @@
 //!
 //! Daemon stderr goes to per-test log files under `QUAL_SERVE_LOG_DIR`
 //! (default: the system temp dir) so CI can upload them on failure.
+//! Without that variable, a daemon's log is deleted when its test
+//! passes.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -80,6 +82,7 @@ fn log_dir() -> PathBuf {
 struct Daemon {
     child: Child,
     socket: PathBuf,
+    log: PathBuf,
 }
 
 impl Daemon {
@@ -108,6 +111,7 @@ impl Daemon {
         let daemon = Daemon {
             child,
             socket: socket.to_path_buf(),
+            log,
         };
         daemon.await_serving();
         daemon
@@ -140,6 +144,11 @@ impl Daemon {
 impl Drop for Daemon {
     fn drop(&mut self) {
         self.kill9();
+        // A passing test's log is deleted unless `QUAL_SERVE_LOG_DIR`
+        // asked for the logs to be kept.
+        if !std::thread::panicking() && std::env::var_os("QUAL_SERVE_LOG_DIR").is_none() {
+            let _ = std::fs::remove_file(&self.log);
+        }
     }
 }
 

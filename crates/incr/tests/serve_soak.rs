@@ -22,7 +22,8 @@
 //! Knobs: `QUAL_SOAK_REQUESTS` (total mixed requests, default 2400,
 //! min 2000 enforced here) and `QUAL_SOAK_SEED` (schedule seed,
 //! default 20260807). A summary document is written next to the daemon
-//! logs (`QUAL_SERVE_LOG_DIR`) so CI can archive the run.
+//! logs (`QUAL_SERVE_LOG_DIR`) so CI can archive the run; without that
+//! variable, a daemon's log is deleted when the test passes.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -89,6 +90,7 @@ fn log_dir() -> PathBuf {
 struct Daemon {
     child: Child,
     socket: PathBuf,
+    log: PathBuf,
 }
 
 impl Daemon {
@@ -113,6 +115,7 @@ impl Daemon {
         let daemon = Daemon {
             child,
             socket: socket.to_path_buf(),
+            log,
         };
         daemon.await_serving();
         daemon
@@ -170,6 +173,11 @@ impl Drop for Daemon {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+        // A passing run's log is deleted unless `QUAL_SERVE_LOG_DIR`
+        // asked for the logs to be kept.
+        if !std::thread::panicking() && std::env::var_os("QUAL_SERVE_LOG_DIR").is_none() {
+            let _ = std::fs::remove_file(&self.log);
+        }
     }
 }
 
