@@ -10,16 +10,23 @@
 //! * **Mono/Poly** — positions that *may* be const under the respective
 //!   analysis (must-const + either);
 //! * **Total possible** — all interesting positions.
+//!
+//! This module is the rule's only home. `sites` walks the positions
+//! (of a whole program for [`summarize`], of one unit's members for
+//! `summary::export`), and [`tally`] classifies and counts them against
+//! a solution, for [`summarize`] and for the incremental driver's merge
+//! alike.
 
 use std::collections::HashMap;
 
-use qual_cfront::ast::Program;
+use qual_cfront::ast::{FnDef, Program};
 use qual_cfront::sema;
 use qual_cfront::{CError, CTy, CTyKind};
-use qual_solve::{diag, Diagnostic, Phase};
+use qual_lattice::QualSpace;
+use qual_solve::{diag, Diagnostic, Phase, Qual, Solution, SolveFailure};
 
-use crate::engine::{run, run_budgeted, Analysis, Budgets, Mode, Options};
-use crate::qtypes::QcShape;
+use crate::engine::{run, run_budgeted, Analysis, Budgets, Mode, Options, SigNodes};
+use crate::qtypes::{QcArena, QcShape};
 use crate::ConstInferError;
 
 /// The three-way classification of one position.
@@ -192,106 +199,128 @@ fn render_ty_annotated(
     s
 }
 
-/// Walks every interesting position (each pointer level of every
-/// defined function's parameters and return), calling `visit` with the
-/// position's identity, its declared-const flag, and its qualifier.
-fn walk_positions(
-    prog: &Program,
-    analysis: &Analysis,
-    mut visit: impl FnMut(&str, Option<usize>, usize, bool, qual_solve::Qual),
-) {
-    for f in prog.functions() {
-        let Some(sig) = analysis.signatures.get(&f.name) else {
-            continue;
-        };
-        // Parameters: spine of the parameter's value.
-        for (i, cell) in sig.params.iter().enumerate() {
-            let QcShape::Ref(value) = analysis.arena.get(*cell).shape else {
-                continue;
-            };
-            let declared_flags = pointee_flags(&f.params[i].1);
-            for (level, node) in analysis.arena.spine(value).iter().enumerate() {
-                let q = analysis.arena.get(*node).qual;
-                let declared = declared_flags.get(level).copied().unwrap_or(false);
-                visit(&f.name, Some(i), level, declared, q);
-            }
-        }
-        // Return value spine.
-        let declared_flags = pointee_flags(&f.ret);
-        for (level, node) in analysis.arena.spine(sig.ret).iter().enumerate() {
-            let q = analysis.arena.get(*node).qual;
-            let declared = declared_flags.get(level).copied().unwrap_or(false);
-            visit(&f.name, None, level, declared, q);
-        }
-    }
+/// One interesting position before classification: its function, its
+/// parameter (`None` for the result), its pointer level, whether the
+/// source declared `const` there, and its qualifier term.
+pub type Site<'a> = (&'a str, Option<usize>, usize, bool, Qual);
+
+/// Every interesting position of `functions`: each pointer level of each
+/// parameter in order, then of the result. [`summarize`] walks a whole
+/// program and `summary::export` one unit's members, both through here.
+pub(crate) fn sites<'a>(
+    functions: impl Iterator<Item = &'a FnDef> + 'a,
+    arena: &'a QcArena,
+    signatures: &'a HashMap<String, SigNodes>,
+) -> impl Iterator<Item = Site<'a>> + 'a {
+    functions
+        .filter_map(move |f| Some((f, signatures.get(&f.name)?)))
+        .flat_map(move |(f, sig)| {
+            // Parameters: the spine of the parameter's value.
+            let params = sig.params.iter().zip(&f.params).enumerate().filter_map(
+                move |(i, (cell, (_, ty)))| match arena.get(*cell).shape {
+                    QcShape::Ref(value) => Some((Some(i), value, ty)),
+                    _ => None,
+                },
+            );
+            params
+                .chain(std::iter::once((None, sig.ret, &f.ret)))
+                .flat_map(move |(param, top, ty)| {
+                    let declared = pointee_flags(ty);
+                    arena.spine(top).into_iter().enumerate().map(move |(level, node)| {
+                        let decl = declared.get(level).copied().unwrap_or(false);
+                        (f.name.as_str(), param, level, decl, arena.get(node).qual)
+                    })
+                })
+        })
 }
 
-/// Classifies every interesting position of an analysis.
-#[must_use]
-pub fn classify(prog: &Program, analysis: &Analysis) -> Vec<Position> {
-    let mut out = Vec::new();
-    let Some(sol) = analysis.solution.as_ref().ok() else {
-        return out;
-    };
-    let c = analysis.space.id("const");
-    walk_positions(prog, analysis, |function, param, level, declared, q| {
-        let class = match c {
-            Some(c) => {
-                let must = sol.eval_least(q).has(&analysis.space, c);
-                let can = sol.eval_greatest(q).has(&analysis.space, c);
-                if must {
-                    PositionClass::MustConst
-                } else if can {
-                    PositionClass::Either
-                } else {
-                    PositionClass::MustNotConst
-                }
-            }
-            // A space without `const` has no const-able positions; the
-            // position list still anchors the per-qualifier tallies.
-            None => PositionClass::MustNotConst,
-        };
-        out.push(Position {
-            function: function.to_owned(),
-            param,
-            level,
-            declared,
-            class,
-        });
-    });
-    out
-}
-
-/// Tallies, per coordinate of the space, how many interesting positions
-/// may/must carry the qualifier (polarity-aware, see
-/// [`crate::quals::presence`]).
-#[must_use]
-pub fn qualifier_counts(prog: &Program, analysis: &Analysis) -> Vec<QualCount> {
-    let mut out: Vec<QualCount> = analysis
-        .space
+/// One zeroed may/must row per coordinate of `space`.
+fn qual_rows(space: &QualSpace) -> Vec<QualCount> {
+    space
         .iter()
         .map(|(_, d)| QualCount {
             name: d.name().to_owned(),
             may: 0,
             must: 0,
         })
-        .collect();
-    let Some(sol) = analysis.solution.as_ref().ok() else {
-        return out;
-    };
-    walk_positions(prog, analysis, |_, _, _, _, q| {
-        let lo = sol.eval_least(q);
-        let hi = sol.eval_greatest(q);
-        for (idx, (id, _)) in analysis.space.iter().enumerate() {
-            let (may, must) = crate::quals::presence(&analysis.space, id, lo, hi);
-            out[idx].may += usize::from(may);
-            out[idx].must += usize::from(must);
-        }
-    });
-    out
+        .collect()
 }
 
-pub(crate) fn pointee_flags(ty: &CTy) -> Vec<bool> {
+/// Classifies `sites` against a solution in one pass: a position must
+/// be const when the least solution carries `const`, could be when only
+/// the greatest does, and cannot be otherwise. Table 2's totals and the
+/// per-qualifier may/must rows (polarity-aware, see
+/// [`crate::quals::presence`]) are tallied on the way.
+#[must_use]
+pub fn tally<'a>(
+    space: &QualSpace,
+    sol: &Solution,
+    sites: impl IntoIterator<Item = Site<'a>>,
+) -> (Vec<Position>, ConstCounts, Vec<QualCount>) {
+    let konst = space.id("const");
+    let mut positions = Vec::new();
+    let mut counts = ConstCounts::default();
+    let mut rows = qual_rows(space);
+    for (function, param, level, declared, q) in sites {
+        let (lo, hi) = (sol.eval_least(q), sol.eval_greatest(q));
+        for ((id, _), row) in space.iter().zip(&mut rows) {
+            let (may, must) = crate::quals::presence(space, id, lo, hi);
+            row.may += usize::from(may);
+            row.must += usize::from(must);
+        }
+        // A space without `const` has no const-able positions; the
+        // position list still anchors the per-qualifier rows.
+        let class = match konst {
+            Some(c) if lo.has(space, c) => PositionClass::MustConst,
+            Some(c) if hi.has(space, c) => PositionClass::Either,
+            _ => PositionClass::MustNotConst,
+        };
+        let p = Position {
+            function: function.to_owned(),
+            param,
+            level,
+            declared,
+            class,
+        };
+        counts.declared += usize::from(p.declared);
+        counts.inferred += usize::from(p.can_be_const());
+        positions.push(p);
+    }
+    counts.total = positions.len();
+    (positions, counts, rows)
+}
+
+/// The diagnostics a failed solve reports: one per unsat violation, or
+/// one for a blown step budget or a cancelled solve.
+#[must_use]
+pub fn failure_diagnostics(failure: &SolveFailure) -> Vec<Diagnostic> {
+    match failure {
+        SolveFailure::Unsat(e) => diag::diagnostics_from_unsat(e),
+        SolveFailure::BudgetExceeded { steps, limit } => vec![Diagnostic::error(
+            Phase::Solve,
+            format!("solver budget exceeded ({steps} of {limit} steps)"),
+        )],
+        SolveFailure::Cancelled { steps } => vec![Diagnostic::error(
+            Phase::Solve,
+            format!("solve cancelled by deadline after {steps} step(s)"),
+        )],
+    }
+}
+
+/// The number a `--verify` run's `certified:` line reports for a solve
+/// over `constraints` constraints: all of them when it solved, the unsat
+/// paths that witness a conflict, or 0 for a blown budget or a
+/// cancelled solve, which claim nothing.
+#[must_use]
+pub fn certified(constraints: usize, solution: &Result<Solution, SolveFailure>) -> usize {
+    match solution {
+        Ok(_) => constraints,
+        Err(SolveFailure::Unsat(e)) => e.violations.len(),
+        Err(_) => 0,
+    }
+}
+
+fn pointee_flags(ty: &CTy) -> Vec<bool> {
     let mut flags = Vec::new();
     let mut cur = ty.decayed();
     while let CTyKind::Ptr(inner) = cur.kind {
@@ -354,6 +383,16 @@ impl AnalysisOutcome {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.skipped.is_empty() && self.result.is_some()
+    }
+
+    /// What a `--verify` run's `certified:` line reports (see
+    /// [`certified`]).
+    #[must_use]
+    pub fn certified(&self) -> usize {
+        let analysis = self.result.as_ref().map(|r| &r.analysis);
+        analysis
+            .or(self.failed.as_ref())
+            .map_or(0, |a| certified(a.constraints.len(), &a.solution))
     }
 }
 
@@ -467,23 +506,7 @@ pub fn analyze_source_with_options_in(
 
     match &analysis.solution {
         Err(failure) => {
-            match failure {
-                qual_solve::SolveFailure::Unsat(e) => {
-                    skipped.extend(diag::diagnostics_from_unsat(e));
-                }
-                qual_solve::SolveFailure::BudgetExceeded { steps, limit } => {
-                    skipped.push(Diagnostic::error(
-                        Phase::Solve,
-                        format!("solver budget exceeded ({steps} of {limit} steps)"),
-                    ));
-                }
-                qual_solve::SolveFailure::Cancelled { steps } => {
-                    skipped.push(Diagnostic::error(
-                        Phase::Solve,
-                        format!("solve cancelled by deadline after {steps} step(s)"),
-                    ));
-                }
-            }
+            skipped.extend(failure_diagnostics(failure));
             AnalysisOutcome {
                 result: None,
                 failed: Some(analysis),
@@ -503,12 +526,15 @@ pub fn analyze_source_with_options_in(
 /// Counts positions for an existing analysis.
 #[must_use]
 pub fn summarize(prog: &Program, analysis: Analysis) -> ConstResult {
-    let positions = classify(prog, &analysis);
-    let qual_counts = qualifier_counts(prog, &analysis);
-    let counts = ConstCounts {
-        declared: positions.iter().filter(|p| p.declared).count(),
-        inferred: positions.iter().filter(|p| p.can_be_const()).count(),
-        total: positions.len(),
+    let (positions, counts, qual_counts) = match &analysis.solution {
+        Ok(sol) => tally(
+            &analysis.space,
+            sol,
+            sites(prog.functions(), &analysis.arena, &analysis.signatures),
+        ),
+        // Nothing is classified without a solution; the per-qualifier
+        // rows stay, at zero.
+        Err(_) => (Vec::new(), ConstCounts::default(), qual_rows(&analysis.space)),
     };
     ConstResult {
         counts,

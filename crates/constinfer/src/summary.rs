@@ -599,45 +599,21 @@ fn export(
         }
     }
 
-    // Positions, exactly as `count::classify` walks them: per member in
-    // program order, parameters (spine per level) then the return spine.
+    // Positions: the members' interesting positions, in item order.
     let mut member_fns: Vec<_> = members
         .iter()
         .filter_map(|m| req.sema.function(req.prog, m))
         .collect();
     member_fns.sort_by_key(|f| req.sema.defined[&f.name]);
-    let mut positions = Vec::new();
-    for f in member_fns {
-        let Some(sig) = eng.sigs.get(&f.name) else {
-            continue;
-        };
-        for (i, cell) in sig.params.iter().enumerate() {
-            let crate::qtypes::QcShape::Ref(value) = eng.arena.get(*cell).shape
-            else {
-                continue;
-            };
-            let declared_flags = crate::count::pointee_flags(&f.params[i].1);
-            for (level, node) in eng.arena.spine(value).iter().enumerate() {
-                positions.push(CanonPosition {
-                    function: f.name.clone(),
-                    param: Some(i as u32),
-                    level: level as u32,
-                    declared: declared_flags.get(level).copied().unwrap_or(false),
-                    var: canon_qual(eng.arena.get(*node).qual, &labels),
-                });
-            }
-        }
-        let declared_flags = crate::count::pointee_flags(&f.ret);
-        for (level, node) in eng.arena.spine(sig.ret).iter().enumerate() {
-            positions.push(CanonPosition {
-                function: f.name.clone(),
-                param: None,
-                level: level as u32,
-                declared: declared_flags.get(level).copied().unwrap_or(false),
-                var: canon_qual(eng.arena.get(*node).qual, &labels),
-            });
-        }
-    }
+    let positions = crate::count::sites(member_fns.into_iter(), &eng.arena, &eng.sigs)
+        .map(|(function, param, level, declared, q)| CanonPosition {
+            function: function.to_owned(),
+            param: param.map(|i| i as u32),
+            level: level as u32,
+            declared,
+            var: canon_qual(q, &labels),
+        })
+        .collect();
 
     // The certificate: solve the unit's own system and record the
     // solution over the canonical constraints' dense enumeration.

@@ -4,9 +4,8 @@
 //! ```text
 //! cqual [--mode mono|poly|polyrec] [--annotate|--rewrite|--report]
 //!       [--qual LIST] [--list-quals] [--verify] [--explain]
-//!       [--keep-going] [--jobs N]
-//!       [--cache-dir DIR] [--cache-stats] [--unit-deadline-ms N]
-//!       [--max-retries N] [--memory-budget-mb N] [--fault-plan SPEC]
+//!       [--keep-going] [--jobs N] [--cache-dir DIR] [--cache-stats]
+//!       [--memory-budget-mb N] [--fault-plan SPEC]
 //!       [--max-constraints N] [--max-solver-steps N] [--max-fn-work N]
 //!       [--connect SOCKET] [--metrics PATH] [--metrics-summary] FILE...
 //! ```
@@ -37,16 +36,14 @@
 //! * `--jobs N`, `--cache-dir DIR`, `--cache-stats`: route `--report`
 //!   through the incremental driver (`qual-incr`) — SCCs are analyzed
 //!   in parallel wavefronts, summaries persist in the cache directory,
-//!   and a warm rerun re-solves nothing. Counts and diagnostics are
-//!   byte-identical to the serial report for any job count or cache
-//!   state; cache trouble is reported on stderr but never changes the
+//!   and a warm rerun re-solves nothing. The report, the diagnostics
+//!   and the exit code are byte-identical to the serial report for any
+//!   job count or cache state, with one exception: the number on a
+//!   satisfiable `--verify` run's `certified:` line counts the merged
+//!   system, whose proxy templates repeat some constraints (DESIGN.md
+//!   §11). Cache trouble is reported on stderr but never changes the
 //!   exit code. `--annotate`/`--rewrite`/`--explain` still use the
 //!   classic pipeline (a note says so).
-//! * `--unit-deadline-ms N`: cancel any unit still running after N
-//!   milliseconds of wall clock (cooperative — polled inside the engine
-//!   and solver loops) and exclude it like a budget-faulted unit.
-//! * `--max-retries N`: attempts after a transient cache I/O failure
-//!   (default 2).
 //! * `--memory-budget-mb N`: bound each analysis unit's gross heap
 //!   allocation to N MiB (measured by the tracking allocator,
 //!   DESIGN.md §18). A unit that overruns is excluded with a rendered
@@ -69,8 +66,11 @@
 //!   daemon's retry hint capped at 250 ms per sleep; if the daemon is
 //!   unreachable, still overloaded, or answers with an error, the run
 //!   *degrades to an in-process analysis* with a note on stderr. The
-//!   printed report and the exit code are byte-identical to a local
-//!   run either way — `--connect` is purely an execution venue.
+//!   request carries no budgets, so a run with `--max-constraints`,
+//!   `--max-solver-steps`, `--max-fn-work` or `--memory-budget-mb` away
+//!   from its default analyzes in process from the start, with a note.
+//!   The printed report and the exit code are those of `--jobs 1`
+//!   either way — `--connect` is purely an execution venue.
 //! * `--metrics-summary`: print the same data as a human-readable
 //!   table on stdout after the report.
 //!
@@ -82,9 +82,11 @@
 //! reports whether *any* input produced diagnostics.
 //!
 //! The whole pipeline is fault-isolated: unparseable items, functions
-//! that fail sema, exhaust an analysis budget, blow their deadline, or
-//! get quarantined after a worker panic are skipped with a rendered
-//! diagnostic while counts are still produced for the rest.
+//! that fail sema, exhaust an analysis budget, blow a served request's
+//! deadline, or get quarantined after a worker panic are skipped with a
+//! rendered diagnostic while counts are still produced for the rest.
+//! Every venue prints its result through one renderer, with
+//! diagnostics sorted by source position.
 //!
 //! Exit codes:
 //!
@@ -113,7 +115,7 @@ use qual_constinfer::{
 use qual_lattice::QualSpace;
 use qual_incr::proto::{AnalyzeReq, ReportFrame, PROTO_VERSION};
 use qual_incr::{analyze_source_incremental, serve, IncrConfig};
-use qual_solve::{Phase, SolveFailure};
+use qual_solve::SolveFailure;
 
 /// Route every heap allocation through the tracking allocator so
 /// `--memory-budget-mb` and the `mem.peak_bytes`/`mem.live_bytes`
@@ -161,7 +163,6 @@ const USAGE: &str = "usage: cqual [--mode mono|poly|polyrec] [--report|--annotat
                      \x20            [--qual LIST] [--list-quals]\n\
                      \x20            [--verify] [--explain] [--keep-going] [--jobs N]\n\
                      \x20            [--cache-dir DIR] [--cache-stats]\n\
-                     \x20            [--unit-deadline-ms N] [--max-retries N]\n\
                      \x20            [--memory-budget-mb N] [--fault-plan SPEC]\n\
                      \x20            [--max-constraints N] [--max-solver-steps N]\n\
                      \x20            [--max-fn-work N] [--connect SOCKET]\n\
@@ -189,8 +190,6 @@ struct Config {
     jobs: Option<usize>,
     cache_dir: Option<PathBuf>,
     cache_stats: bool,
-    unit_deadline_ms: Option<u64>,
-    max_retries: Option<u32>,
     /// Per-unit gross allocation bound in MiB (`--memory-budget-mb`).
     memory_budget_mb: Option<u64>,
     /// Where to write the invocation's JSON metrics document.
@@ -208,8 +207,6 @@ impl Config {
         self.jobs.is_some()
             || self.cache_dir.is_some()
             || self.cache_stats
-            || self.unit_deadline_ms.is_some()
-            || self.max_retries.is_some()
             || self.memory_budget_mb.is_some()
     }
 }
@@ -248,8 +245,6 @@ fn main() -> ExitCode {
         jobs: None,
         cache_dir: None,
         cache_stats: false,
-        unit_deadline_ms: None,
-        max_retries: None,
         memory_budget_mb: None,
         metrics: None,
         metrics_summary: false,
@@ -294,16 +289,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--cache-stats" => cfg.cache_stats = true,
-            "--unit-deadline-ms" => {
-                match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cfg.unit_deadline_ms = Some(n),
-                    _ => return usage(),
-                }
-            }
-            "--max-retries" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.max_retries = Some(n),
-                None => return usage(),
-            },
             "--memory-budget-mb" => {
                 match args.next().and_then(|v| v.parse().ok()) {
                     Some(n) if n >= 1 => cfg.memory_budget_mb = Some(n),
@@ -569,51 +554,30 @@ fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
     let outcome = analyze_source_with_options_in(
         src, &cfg.space, cfg.mode, options, cfg.budgets,
     );
-    match cfg.action {
-        Action::Report => print_report(cfg, &outcome),
-        Action::Annotate => {
-            if let Some(result) = &outcome.result {
-                out!("{}", result.annotated_signatures(&outcome.program));
-            }
-        }
-        Action::Rewrite => print_rewrite(cfg, src, &outcome),
-    }
-    if cfg.explain {
-        print_explanations(src, &outcome);
-    }
-    for d in &outcome.skipped {
-        eprint!("{}", d.render(Some(src)));
-    }
-    if outcome.result.is_none() {
-        eprintln!("cqual: constraint solving failed; counts are unavailable");
-    }
-    let cert_failures = outcome
-        .skipped
-        .iter()
-        .filter(|d| d.phase == Phase::Verify)
-        .count();
-    if cfg.verify && cert_failures == 0 {
-        match (&outcome.result, &outcome.failed) {
-            (Some(result), _) => outln!(
-                "cqual: certified: solution satisfies all {} constraint(s)",
-                result.analysis.constraints.len()
-            ),
-            (None, Some(analysis)) => {
-                if let Err(SolveFailure::Unsat(err)) = &analysis.solution {
-                    outln!(
-                        "cqual: certified: unsatisfiability witnessed by {} \
-                         constraint path(s)",
-                        err.violations.len()
-                    );
-                }
-            }
-            (None, None) => {}
-        }
-    }
-    RunStats {
-        diags: outcome.skipped.len(),
-        cert_failures,
-    }
+    let view = match cfg.action {
+        Action::Report => None,
+        Action::Annotate => Some(outcome.result.as_ref().map_or_else(String::new, |r| {
+            r.annotated_signatures(&outcome.program)
+        })),
+        Action::Rewrite => Some(rewrite_text(cfg, src, &outcome)),
+    };
+    let trailer = if cfg.explain {
+        explanations(src, &outcome)
+    } else {
+        String::new()
+    };
+    let frame = serve::report_frame(
+        src,
+        cfg.mode,
+        cfg.verify,
+        outcome
+            .result
+            .as_ref()
+            .map(|r| (r.counts, r.positions.as_slice(), r.qual_counts.as_slice())),
+        &outcome.skipped,
+        outcome.certified(),
+    );
+    print_frame(&frame, view.as_deref(), &trailer)
 }
 
 /// `--report` through the incremental driver: wavefront-parallel SCC
@@ -642,23 +606,25 @@ fn analyze_and_print_incremental(cfg: &Config, src: &str) -> RunStats {
         (analyze_source_incremental(src, &icfg), None)
     };
     let frame = serve::report_from_outcome(&out, src, cfg.mode, cfg.verify);
-    let cache_lines: Vec<String> = if cfg.cache_stats {
+    let cache_lines: String = if cfg.cache_stats {
         let report = report.as_ref().expect("collected when --cache-stats");
-        qual_incr::cache_stats_lines(report).into()
+        qual_incr::cache_stats_lines(report)
+            .iter()
+            .map(|line| format!("cqual: cache: {line}\n"))
+            .collect()
     } else {
-        Vec::new()
+        String::new()
     };
     if let Some(report) = &report {
         qual_obs::absorb(report);
     }
-    print_frame(&frame, &cache_lines)
+    print_frame(&frame, None, &cache_lines)
 }
 
 /// The incremental-driver configuration a `Config` asks for — shared by
 /// the local incremental path and the `--connect` fallback, so both
 /// venues analyze identically.
 fn incr_config(cfg: &Config) -> IncrConfig {
-    let defaults = IncrConfig::default();
     IncrConfig {
         mode: cfg.mode,
         space: cfg.space.clone(),
@@ -669,18 +635,17 @@ fn incr_config(cfg: &Config) -> IncrConfig {
         budgets: cfg.budgets,
         jobs: cfg.jobs.unwrap_or(1),
         cache_dir: cfg.cache_dir.clone(),
-        unit_deadline_ms: cfg.unit_deadline_ms,
         memory_budget_mb: cfg.memory_budget_mb,
-        max_retries: cfg.max_retries.unwrap_or(defaults.max_retries),
+        ..IncrConfig::default()
     }
 }
 
 /// `--connect`: route the report through a resident `cquald`. Any
 /// daemon trouble — unreachable socket, persistent overload, a server
 /// error — degrades to the in-process incremental analysis with a note
-/// on stderr; the printed report and the exit code never depend on the
-/// venue (both sides print through [`print_frame`] from the same
-/// [`ReportFrame`] shape).
+/// on stderr, and so do budgets the request cannot carry; the printed
+/// report and the exit code never depend on the venue (both sides
+/// print through [`print_frame`] from the same [`ReportFrame`] shape).
 fn analyze_and_print_connect(cfg: &Config, src: &str) -> RunStats {
     let socket = cfg.connect.clone().expect("checked by the caller");
     if cfg.explain {
@@ -703,24 +668,34 @@ fn analyze_and_print_connect(cfg: &Config, src: &str) -> RunStats {
         verify: cfg.verify,
         deadline_ms: None,
     };
-    let conn = serve::Connect::new(socket);
-    let frame = match serve::request_analyze(&conn, &req) {
-        Ok(frame) => frame,
-        Err(e) => {
-            eprintln!("cqual: {e}; analyzing in process instead");
-            qual_obs::count("serve.fallback", 1);
-            serve::local_report(&incr_config(cfg), &req)
+    let frame = if cfg.budgets != Budgets::default() || cfg.memory_budget_mb.is_some() {
+        eprintln!(
+            "cqual: note: the daemon protocol carries no budgets; analyzing \
+             in process instead"
+        );
+        serve::local_report(&incr_config(cfg), &req)
+    } else {
+        match serve::request_analyze(&serve::Connect::new(socket), &req) {
+            Ok(frame) => frame,
+            Err(e) => {
+                eprintln!("cqual: {e}; analyzing in process instead");
+                qual_obs::count("serve.fallback", 1);
+                serve::local_report(&incr_config(cfg), &req)
+            }
         }
     };
-    print_frame(&frame, &[])
+    print_frame(&frame, None, "")
 }
 
-/// Prints one analysis report — served by a daemon or produced locally,
-/// the bytes are the same because both venues render through one
-/// [`ReportFrame`]. `cache_lines` carries the `--cache-stats` lines of
-/// a local run (empty otherwise).
-fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
-    if let Some([total, declared, inferred]) = frame.counts {
+/// Prints one analysis — served by a daemon or produced locally, the
+/// bytes are the same because every venue renders through one
+/// [`ReportFrame`]. `view` replaces the report on stdout
+/// (`--annotate`/`--rewrite`); `trailer` follows it there (`--explain`
+/// paths or `--cache-stats` lines), before the `certified:` line.
+fn print_frame(frame: &ReportFrame, view: Option<&str>, trailer: &str) -> RunStats {
+    if let Some(text) = view {
+        out!("{text}");
+    } else if let Some([total, declared, inferred]) = frame.counts {
         outln!(
             "{} interesting positions: {} declared const, {} inferable const ({:?})",
             total, declared, inferred, frame.mode
@@ -743,13 +718,9 @@ fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
             .label();
             outln!("  {label:<32} {class}{declared}");
         }
-        print_qual_counts(frame.qual_counts.iter().map(|(n, may, must)| {
-            (n.as_str(), *may, *must)
-        }));
+        print_qual_counts(&frame.qual_counts);
     }
-    for line in cache_lines {
-        outln!("cqual: cache: {line}");
-    }
+    out!("{trailer}");
     if frame.quarantined > 0 {
         eprintln!(
             "cqual: {} unit(s) quarantined after worker fault(s); their \
@@ -769,11 +740,19 @@ fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
         eprintln!("cqual: constraint solving failed; counts are unavailable");
     }
     let cert_failures = frame.cert_failures as usize;
-    if frame.verify && cert_failures == 0 && frame.counts.is_some() {
-        outln!(
-            "cqual: certified: solution satisfies all {} constraint(s)",
-            frame.constraints
-        );
+    if frame.verify && cert_failures == 0 {
+        match frame.counts {
+            Some(_) => outln!(
+                "cqual: certified: solution satisfies all {} constraint(s)",
+                frame.certified
+            ),
+            // 0 paths: a blown budget or a cancelled solve claims nothing.
+            None if frame.certified > 0 => outln!(
+                "cqual: certified: unsatisfiability witnessed by {} constraint path(s)",
+                frame.certified
+            ),
+            None => {}
+        }
     }
     RunStats {
         diags: frame.skipped.len(),
@@ -783,55 +762,23 @@ fn print_frame(frame: &ReportFrame, cache_lines: &[String]) -> RunStats {
 
 /// `--explain`: renders each unsat violation as a constraint path from
 /// the qualifier's constant source to the bound that rejects it.
-fn print_explanations(src: &str, outcome: &AnalysisOutcome) {
+fn explanations(src: &str, outcome: &AnalysisOutcome) -> String {
     let Some(analysis) = &outcome.failed else {
-        return;
+        return String::new();
     };
     let Err(SolveFailure::Unsat(err)) = &analysis.solution else {
-        return;
+        return String::new();
     };
-    let exps = qual_solve::explain(
-        &analysis.space,
-        analysis.constraints.constraints(),
-        err,
-    );
-    for exp in &exps {
-        out!(
-            "{}",
-            qual_solve::diag::render_explanation(Some(src), &analysis.space, exp)
-        );
-    }
-}
-
-fn print_report(cfg: &Config, outcome: &AnalysisOutcome) {
-    let Some(result) = &outcome.result else {
-        return;
-    };
-    let c = result.counts;
-    outln!(
-        "{} interesting positions: {} declared const, {} inferable const ({:?})",
-        c.total, c.declared, c.inferred, cfg.mode
-    );
-    for p in &result.positions {
-        let class = match p.class {
-            PositionClass::MustConst => "must be const",
-            PositionClass::MustNotConst => "cannot be const",
-            PositionClass::Either => "could be const",
-        };
-        let declared = if p.declared { " [declared]" } else { "" };
-        outln!("  {:<32} {class}{declared}", p.label());
-    }
-    print_qual_counts(result.qual_counts.iter().map(|q| {
-        (q.name.as_str(), q.may as u64, q.must as u64)
-    }));
+    qual_solve::explain(&analysis.space, analysis.constraints.constraints(), err)
+        .iter()
+        .map(|exp| qual_solve::diag::render_explanation(Some(src), &analysis.space, exp))
+        .collect()
 }
 
 /// The per-qualifier `may`/`must` rows a multi-qualifier run appends to
 /// the report. A `const`-only run prints nothing here, so `--qual
-/// const` stays byte-identical to the classic report; both the served
-/// frame and the classic result render through this one function.
-fn print_qual_counts<'a>(rows: impl Iterator<Item = (&'a str, u64, u64)>) {
-    let rows: Vec<_> = rows.collect();
+/// const` stays byte-identical to a run without the flag.
+fn print_qual_counts(rows: &[(String, u64, u64)]) {
     if rows.is_empty() || (rows.len() == 1 && rows[0].0 == "const") {
         return;
     }
@@ -841,7 +788,9 @@ fn print_qual_counts<'a>(rows: impl Iterator<Item = (&'a str, u64, u64)>) {
     }
 }
 
-fn print_rewrite(cfg: &Config, src: &str, outcome: &AnalysisOutcome) {
+/// `--rewrite`: the whole program with the monomorphic consts inserted
+/// (empty when solving failed).
+fn rewrite_text(cfg: &Config, src: &str, outcome: &AnalysisOutcome) -> String {
     if cfg.mode != Mode::Monomorphic {
         eprintln!(
             "cqual: note: rewriting uses the monomorphic result \
@@ -863,7 +812,5 @@ fn print_rewrite(cfg: &Config, src: &str, outcome: &AnalysisOutcome) {
         );
         (&mono.program, mono.result.as_ref())
     };
-    if let Some(result) = result {
-        out!("{}", rewrite_source(prog, result));
-    }
+    result.map_or_else(String::new, |result| rewrite_source(prog, result))
 }

@@ -24,10 +24,10 @@
 //!
 //! Fidelity vs. the serial engine: the const-able and declared position
 //! sets agree (the differential oracle in `qual-bench` enforces this on
-//! generated corpora); exact [`PositionClass`] values can differ at
-//! declared-const levels of *failed* functions, and per-unit budget
-//! accounting is local where the serial engine's is global. See
-//! DESIGN.md §11.
+//! generated corpora); exact [`qual_constinfer::PositionClass`] values
+//! can differ at declared-const levels of *failed* functions, and
+//! per-unit budget accounting is local where the serial engine's is
+//! global. See DESIGN.md §11.
 
 pub mod cache;
 pub mod proto;
@@ -48,17 +48,17 @@ use qual_constinfer::summary::{
     analyze_unit, decode_summary, encode_summary, verify_summary, CanonQual,
     CanonScheme, CanonVar, UnitKind, UnitRequest, UnitSummary, FORMAT_VERSION,
 };
-use qual_constinfer::count::QualCount;
+use qual_constinfer::count::{self, QualCount};
 use qual_constinfer::quals;
 use qual_constinfer::{
     recover_front_end, Budgets, ConstCounts, Mode, Options, Position,
-    PositionClass, RecoveredUnit,
+    RecoveredUnit,
 };
 use qual_lattice::{QualSet, QualSpace};
 use qual_solve::wire::intern_static;
 use qual_solve::{
-    diag, Constraint, ConstraintSet, Diagnostic, Phase, Provenance, QVar, Qual,
-    SolveFailure, VarSupply,
+    Constraint, ConstraintSet, Diagnostic, Phase, Provenance, QVar, Qual,
+    VarSupply,
 };
 
 use cache::{Key, KeyHasher, Load, RetryPolicy};
@@ -156,8 +156,10 @@ pub struct IncrOutcome {
     pub qual_counts: Vec<QualCount>,
     /// Per-position classification, in program order.
     pub positions: Vec<Position>,
-    /// The pruned program the counts describe.
-    pub program: Program,
+    /// What a `--verify` run's `certified:` line reports: the merged
+    /// constraints the solution satisfies, or the unsat paths that
+    /// witness a conflict (see [`count::certified`]).
+    pub certified: usize,
     /// Analysis diagnostics (front end, per-unit faults, solve), in
     /// pipeline order — identical for any `jobs`/cache state.
     pub skipped: Vec<Diagnostic>,
@@ -167,14 +169,6 @@ pub struct IncrOutcome {
     pub cache_diags: Vec<Diagnostic>,
     /// Work accounting.
     pub stats: IncrStats,
-}
-
-impl IncrOutcome {
-    /// Whether the analysis itself (cache trouble aside) was clean.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.skipped.is_empty() && self.counts.is_some()
-    }
 }
 
 /// One planned unit.
@@ -736,77 +730,14 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
     certify_solution(&space, &cs, &solution, cfg.options, &mut skipped);
     let (counts, positions, qual_counts) = match &solution {
         Err(failure) => {
-            match failure {
-                SolveFailure::Unsat(e) => {
-                    skipped.extend(diag::diagnostics_from_unsat(e));
-                }
-                SolveFailure::BudgetExceeded { steps, limit } => {
-                    skipped.push(Diagnostic::error(
-                        Phase::Solve,
-                        format!(
-                            "solver budget exceeded ({steps} of {limit} steps)"
-                        ),
-                    ));
-                }
-                SolveFailure::Cancelled { steps } => {
-                    skipped.push(Diagnostic::error(
-                        Phase::Solve,
-                        format!("solve cancelled by deadline after {steps} step(s)"),
-                    ));
-                }
-            }
+            skipped.extend(count::failure_diagnostics(failure));
             (None, Vec::new(), Vec::new())
         }
         Ok(sol) => {
-            let cid = space.id("const");
-            let positions: Vec<Position> = positions_raw
+            let sites = positions_raw
                 .iter()
-                .map(|(function, param, level, declared, q)| {
-                    let class = match cid {
-                        Some(c) => {
-                            let must = sol.eval_least(*q).has(&space, c);
-                            let can = sol.eval_greatest(*q).has(&space, c);
-                            if must {
-                                PositionClass::MustConst
-                            } else if can {
-                                PositionClass::Either
-                            } else {
-                                PositionClass::MustNotConst
-                            }
-                        }
-                        None => PositionClass::MustNotConst,
-                    };
-                    Position {
-                        function: function.clone(),
-                        param: *param,
-                        level: *level,
-                        declared: *declared,
-                        class,
-                    }
-                })
-                .collect();
-            let counts = ConstCounts {
-                declared: positions.iter().filter(|p| p.declared).count(),
-                inferred: positions.iter().filter(|p| p.can_be_const()).count(),
-                total: positions.len(),
-            };
-            let mut qual_counts: Vec<QualCount> = space
-                .iter()
-                .map(|(_, d)| QualCount {
-                    name: d.name().to_owned(),
-                    may: 0,
-                    must: 0,
-                })
-                .collect();
-            for (_, _, _, _, q) in &positions_raw {
-                let lo = sol.eval_least(*q);
-                let hi = sol.eval_greatest(*q);
-                for (idx, (id, _)) in space.iter().enumerate() {
-                    let (may, must) = quals::presence(&space, id, lo, hi);
-                    qual_counts[idx].may += usize::from(may);
-                    qual_counts[idx].must += usize::from(must);
-                }
-            }
+                .map(|(f, param, level, declared, q)| (f.as_str(), *param, *level, *declared, *q));
+            let (positions, counts, qual_counts) = count::tally(&space, sol, sites);
             (Some(counts), positions, qual_counts)
         }
     };
@@ -817,7 +748,7 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         counts,
         qual_counts,
         positions,
-        program,
+        certified: count::certified(cs.len(), &solution),
         skipped,
         cache_diags,
         stats,

@@ -58,7 +58,11 @@ use qual_solve::wire::{self, Reader, WireError, Writer};
 /// carry per-qualifier count columns.
 /// v3: bumped for a field of the retired worker Hello frame; server
 /// frames are unchanged since v2.
-pub const PROTO_VERSION: u32 = 3;
+/// v4: the Report frame's count after the certification failures is
+/// the `certified:` line's number (satisfied constraints, or unsat
+/// paths) where it was the merged constraint count, so a v3 peer must
+/// not print it.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload (64 MiB) — far above any real
 /// summary, low enough that a garbled length field cannot provoke an
@@ -162,8 +166,10 @@ pub struct ReportFrame {
     pub cache_notes: Vec<String>,
     /// Diagnostics that are certification failures (drives exit 3).
     pub cert_failures: u64,
-    /// Merged constraint count (for the `certified:` line).
-    pub constraints: u64,
+    /// The count a `--verify` run's `certified:` line prints: the
+    /// constraints the solution satisfies, or the unsat paths that
+    /// witness a conflict (0 when the solve claimed nothing).
+    pub certified: u64,
     /// Units quarantined after an analysis panic.
     pub quarantined: u64,
     /// The reply was served without fresh analysis (memoized, or every
@@ -390,7 +396,7 @@ fn encode_payload(frame: &Frame) -> (u32, Vec<u8>) {
                 }
             }
             w.u64(rep.cert_failures);
-            w.u64(rep.constraints);
+            w.u64(rep.certified);
             w.u64(rep.quarantined);
             w.bool(rep.warm);
             w.u64(rep.reused);
@@ -481,7 +487,7 @@ fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
                 skipped,
                 cache_notes,
                 cert_failures: r.u64()?,
-                constraints: r.u64()?,
+                certified: r.u64()?,
                 quarantined: r.u64()?,
                 warm: r.bool()?,
                 reused: r.u64()?,
@@ -747,7 +753,7 @@ mod tests {
             skipped: vec!["warning: skipped region\n".to_owned()],
             cache_notes: vec!["cache: note\n".to_owned()],
             cert_failures: 0,
-            constraints: 41,
+            certified: 41,
             quarantined: 0,
             warm: true,
             reused: 3,

@@ -54,9 +54,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use qual_constinfer::{Mode, PositionClass};
+use qual_constinfer::{ConstCounts, Mode, Position, PositionClass, QualCount};
 use qual_faultpoint::FaultKind;
-use qual_solve::{sort_diagnostics, Phase};
+use qual_solve::{sort_diagnostics, Diagnostic, Phase};
 
 use crate::cache::{Key, KeyHasher};
 use crate::proto::{self, AnalyzeReq, Frame, ReportFrame, WirePosition};
@@ -1104,28 +1104,35 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
 // Reports
 // ---------------------------------------------------------------------------
 
-/// Renders an analysis outcome into the wire report a `--connect`
-/// client prints. Diagnostics are sorted and rendered here, so the
-/// served bytes match a local `cqual` run exactly.
+/// The one report builder: plain `cqual`, the incremental driver and a
+/// served request all turn their analysis into a [`ReportFrame`] here,
+/// so every venue sorts and renders its diagnostics the same way and
+/// prints the same bytes. `result` is `None` when solving failed;
+/// `certified` is the count the `certified:` line prints (see
+/// [`qual_constinfer::count::certified`]). Driver accounting (cache
+/// notes, quarantines, reuse) starts empty; [`report_from_outcome`]
+/// fills it in.
 #[must_use]
-pub fn report_from_outcome(
-    out: &IncrOutcome,
+pub fn report_frame(
     src: &str,
     mode: Mode,
     verify: bool,
+    result: Option<(ConstCounts, &[Position], &[QualCount])>,
+    skipped: &[Diagnostic],
+    certified: usize,
 ) -> ReportFrame {
-    let mut diags = out.skipped.clone();
+    let mut diags = skipped.to_vec();
     sort_diagnostics(&mut diags);
     let cert_failures = diags.iter().filter(|d| d.phase == Phase::Verify).count() as u64;
+    let (counts, positions, qual_counts) = match result {
+        Some((c, p, q)) => (Some(c), p, q),
+        None => (None, &[][..], &[][..]),
+    };
     ReportFrame {
         mode,
         verify,
-        counts: out
-            .counts
-            .as_ref()
-            .map(|c| [c.total as u64, c.declared as u64, c.inferred as u64]),
-        positions: out
-            .positions
+        counts: counts.map(|c| [c.total as u64, c.declared as u64, c.inferred as u64]),
+        positions: positions
             .iter()
             .map(|p| WirePosition {
                 function: p.function.clone(),
@@ -1136,20 +1143,41 @@ pub fn report_from_outcome(
             })
             .collect(),
         skipped: diags.iter().map(|d| d.render(Some(src))).collect(),
-        cache_notes: out.cache_diags.iter().map(|d| d.render(None)).collect(),
-        qual_counts: out
-            .qual_counts
+        cache_notes: Vec::new(),
+        qual_counts: qual_counts
             .iter()
             .map(|q| (q.name.clone(), q.may as u64, q.must as u64))
             .collect(),
         cert_failures,
-        constraints: out.stats.constraints as u64,
+        certified: certified as u64,
+        quarantined: 0,
+        warm: false,
+        reused: 0,
+        analyzed: 0,
+    }
+}
+
+/// Renders an incremental outcome into the wire report a `--connect`
+/// client prints: [`report_frame`] plus the driver's accounting.
+#[must_use]
+pub fn report_from_outcome(
+    out: &IncrOutcome,
+    src: &str,
+    mode: Mode,
+    verify: bool,
+) -> ReportFrame {
+    let result = out
+        .counts
+        .map(|c| (c, out.positions.as_slice(), out.qual_counts.as_slice()));
+    ReportFrame {
+        cache_notes: out.cache_diags.iter().map(|d| d.render(None)).collect(),
         quarantined: out.stats.quarantined as u64,
         warm: out.stats.units > 0
             && out.stats.analyzed == 0
             && out.stats.reused == out.stats.units,
         reused: out.stats.reused as u64,
         analyzed: out.stats.analyzed as u64,
+        ..report_frame(src, mode, verify, result, &out.skipped, out.certified)
     }
 }
 

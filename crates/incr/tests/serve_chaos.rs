@@ -14,6 +14,10 @@
 //!   the stale file and serves warm;
 //! * N concurrent `--connect` clients are byte-identical to serial
 //!   `cqual`;
+//! * every venue — plain `cqual`, `--jobs 1` and `2`, a cold and a warm
+//!   `--cache-dir`, a live daemon and a missing one — prints the same
+//!   stdout, stderr and exit code, budget-faulted and unsat `--verify`
+//!   runs included;
 //! * a seed-derived fault plan over every `serve.*` point still yields
 //!   byte-identical client output, wherever the faults land;
 //! * pinned `proto.read`/`proto.write` faults on the daemon's frames
@@ -164,10 +168,10 @@ fn cqual(args: &[&str]) -> Output {
         .expect("spawn cqual")
 }
 
-/// The serial in-process baseline every served/fallback run must match
+/// The plain in-process baseline every served/fallback run must match
 /// byte for byte.
 fn baseline(file: &Path) -> String {
-    let out = cqual(&["--jobs", "1", file.to_str().unwrap()]);
+    let out = cqual(&[file.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "baseline run failed");
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
@@ -476,7 +480,10 @@ fn concurrent_connect_clients_match_serial_cqual_byte_for_byte() {
     let socket = dir.path("d.sock");
     let _daemon = Daemon::spawn("hammer", &socket, &[], &[]);
 
-    let baselines: Vec<String> = files.iter().map(|f| baseline(f)).collect();
+    let baselines: Vec<Output> = files
+        .iter()
+        .map(|f| cqual(&[f.to_str().unwrap()]))
+        .collect();
 
     // Eight clients, round-robin over the three sources, all in flight
     // at once. Dedup, the memo, and admission control may each route a
@@ -490,14 +497,105 @@ fn concurrent_connect_clients_match_serial_cqual_byte_for_byte() {
         .collect();
     for (i, h) in handles.into_iter().enumerate() {
         let out = h.join().expect("client thread panicked");
-        let stdout = String::from_utf8_lossy(&out.stdout);
+        let want = &baselines[i % baselines.len()];
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "client {i}: {stderr}");
+        assert_eq!(out.status.code(), want.status.code(), "client {i}: {stderr}");
         assert_eq!(
-            stdout,
-            baselines[i % baselines.len()],
-            "client {i} diverged from serial cqual"
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&want.stdout),
+            "client {i}'s stdout diverged from serial cqual"
         );
+        assert_eq!(
+            stderr,
+            String::from_utf8_lossy(&want.stderr),
+            "client {i}'s stderr diverged from serial cqual"
+        );
+    }
+}
+
+/// What a venue printed, made comparable across venues: the exit code,
+/// stdout with the count on a satisfiable `certified:` line masked (the
+/// merged system repeats proxy creation constraints by design,
+/// DESIGN.md §11), and stderr without the venue's one note line.
+fn comparable(out: &Output) -> (Option<i32>, String, String) {
+    let satisfied = "cqual: certified: solution satisfies all ";
+    let stdout: String = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| match l.strip_prefix(satisfied) {
+            Some(rest) => format!("{satisfied}#{}\n", &rest[rest.find(' ').unwrap_or(0)..]),
+            None => format!("{l}\n"),
+        })
+        .collect();
+    let mut dropped = false;
+    let stderr: String = String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter(|l| {
+            let note = l.starts_with("cqual: note:") || l.ends_with("analyzing in process instead");
+            let drop = note && !dropped;
+            dropped |= drop;
+            !drop
+        })
+        .map(|l| format!("{l}\n"))
+        .collect();
+    (out.status.code(), stdout, stderr)
+}
+
+#[test]
+fn every_venue_prints_what_plain_cqual_prints() {
+    let corpus: [(&str, &str, &[&str]); 6] = [
+        ("clean.c", SRC_A, &[]),
+        ("clean.c", SRC_A, &["--verify"]),
+        (
+            "sema.c",
+            "int ok(char *s) { return *s; }\nint bad(void) { return no_such_name; }\n",
+            &[],
+        ),
+        (
+            "quals.c",
+            "char *getenv(const char *name);\n\
+             int first(char *s) { return s[0]; }\n\
+             char *path(void) { return getenv(\"PATH\"); }\n",
+            &["--qual", "const,nonnull,tainted"],
+        ),
+        // An unsat --verify run: every venue certifies the conflict.
+        (
+            "unsat.c",
+            "void g(char *s){s[0]=1;} void h(const char *c){g(c);}\n",
+            &["--verify"],
+        ),
+        // Budget faults in two functions: every venue sorts the two
+        // diagnostics, and --connect cannot send the budget to a daemon.
+        (
+            "budget.c",
+            "int b(int *p); int a(int *p){return b(p)+1+2+3+4+5+6+7+8;} \
+             int b(int *p){return *p+1+2+3+4+5+6+7+8;}\n",
+            &["--max-fn-work", "5"],
+        ),
+    ];
+    let dir = TempDir::new("venues");
+    let socket = dir.path("d.sock");
+    let missing = dir.path("missing.sock");
+    let _daemon = Daemon::spawn("venues", &socket, &[], &[]);
+    for (i, (name, src, flags)) in corpus.into_iter().enumerate() {
+        let file = dir.write(name, src);
+        let cache = dir.path(&format!("cache{i}"));
+        let (file, cache) = (file.to_str().unwrap(), cache.to_str().unwrap());
+        let venues: [(&str, &[&str]); 7] = [
+            ("plain", &[]),
+            ("--jobs 1", &["--jobs", "1"]),
+            ("--jobs 2", &["--jobs", "2"]),
+            ("cold cache", &["--cache-dir", cache]),
+            ("warm cache", &["--cache-dir", cache]),
+            ("live daemon", &["--connect", socket.to_str().unwrap()]),
+            ("missing daemon", &["--connect", missing.to_str().unwrap()]),
+        ];
+        let mut want = None;
+        for (venue, venue_args) in venues {
+            let args: Vec<&str> = flags.iter().chain(venue_args).copied().chain([file]).collect();
+            let got = comparable(&cqual(&args));
+            let want = want.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "{name} {flags:?}: {venue} differs from plain cqual");
+        }
     }
 }
 

@@ -36,18 +36,18 @@ const QUERY_QUAL: &str = concat!(
 
 const ANALYZE: &str = concat!(
     // "QSP1", kind 7, payload length 65, checksum
-    "51535031_07000000_4100000000000000_acef780e1db154aa",
-    // version 3, source, mono, "const", verify, deadline 750 ms
-    "030000001d00000000000000696e7420662863686172202a",
+    "51535031_07000000_4100000000000000_35ef96a1a0b1240e",
+    // version 4, source, mono, "const", verify, deadline 750 ms
+    "040000001d00000000000000696e7420662863686172202a",
     "7029207b2072657475726e202a703b207d00050000000000",
     "0000636f6e73740101ee02000000000000",
 );
 
 const REANALYZE: &str = concat!(
     // "QSP1", kind 8, payload length 48, checksum
-    "51535031_08000000_3000000000000000_04cb88ffb1bbf46a",
-    // version 3, "int g(void);", poly, "const,tainted", no verify, no deadline
-    "030000000c00000000000000696e74206728766f6964293b",
+    "51535031_08000000_3000000000000000_2f84d5c43cfff04d",
+    // version 4, "int g(void);", poly, "const,tainted", no verify, no deadline
+    "040000000c00000000000000696e74206728766f6964293b",
     "010d00000000000000636f6e73742c7461696e7465640000",
 );
 
@@ -60,7 +60,7 @@ const REPORT: &str = concat!(
     // polyrec, verify, counts [5, 2, 1], qualifier rows const 3/1 and
     // tainted 2/0, positions strlen arg 0 level 1 (declared, class 0)
     // and g return level 0 (class 2), one skipped string, one cache
-    // note, 0 cert failures, 41 constraints, 0 quarantined, warm,
+    // note, 0 cert failures, 41 certified, 0 quarantined, warm,
     // 3 reused, 1 analyzed
     "020101050000000000000002000000000000000100000000",
     "00000002000000000000000500000000000000636f6e7374",
@@ -250,7 +250,7 @@ fn served_frames_match_their_golden_bytes() {
             ANALYZE,
         ),
     ];
-    assert_eq!(PROTO_VERSION, 3);
+    assert_eq!(PROTO_VERSION, 4);
     for (frame, golden) in frames {
         check_frame(&frame, golden);
     }
@@ -282,7 +282,7 @@ fn every_other_frame_kind_matches_its_golden_bytes() {
         skipped: vec!["warning: skipped\n".to_owned()],
         cache_notes: vec!["cache: note\n".to_owned()],
         cert_failures: 0,
-        constraints: 41,
+        certified: 41,
         quarantined: 0,
         warm: true,
         reused: 3,

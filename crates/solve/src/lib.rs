@@ -48,7 +48,6 @@
 mod constraint;
 mod dense;
 pub mod diag;
-pub mod dot;
 mod error;
 pub mod explain;
 mod scheme;
