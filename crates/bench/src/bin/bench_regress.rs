@@ -11,7 +11,9 @@
 //!   **exactly**; any difference is drift and fails the run;
 //! * **timings** (fields ending `_ns`) only flag **regressions** beyond
 //!   the tolerance (default 25%); speedups and noise inside the band
-//!   pass. `--timings-warn-only` downgrades timing failures to
+//!   pass. Where a timing also records its minimum (`mono_min_ns` next
+//!   to `mono_ns`), only the minimum is gated, since noise only adds
+//!   time. `--timings-warn-only` downgrades timing failures to
 //!   warnings — CI uses it, because shared runners make wall-clock
 //!   thresholds advisory at best.
 //!

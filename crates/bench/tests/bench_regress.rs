@@ -1,8 +1,9 @@
 //! The perf-regression harness contract, at two levels:
 //!
 //! * unit tests of `compare_bench_docs` — exact count matching, the
-//!   timing tolerance band (regressions flagged, speedups not), missing
-//!   rows, and unknown-field tolerance;
+//!   timing tolerance band (regressions flagged, speedups not), timings
+//!   gated on their minimum where one is recorded, missing rows, and
+//!   unknown-field tolerance;
 //! * end-to-end runs of the `bench-regress` binary against a scratch
 //!   directory — a fresh run records baselines and exits 0, a no-change
 //!   rerun exits 0, and a baseline with doctored counts makes the rerun
@@ -58,6 +59,34 @@ fn timings_flag_only_regressions_beyond_tolerance() {
     assert_eq!(drifts.len(), 1);
     assert!(drifts[0].timing);
     assert!(drifts[0].to_string().contains("[timing]"), "{}", drifts[0]);
+}
+
+#[test]
+fn timings_with_a_minimum_are_gated_on_the_minimum() {
+    let base = bench_doc(
+        "t",
+        3,
+        vec![row("a", &[("mono_ns", 1000), ("mono_min_ns", 900)])],
+    );
+    // The median alone rises past the band, the minimum stays inside
+    // it: noise, not drift.
+    let noisy = bench_doc(
+        "t",
+        3,
+        vec![row("a", &[("mono_ns", 2000), ("mono_min_ns", 1100)])],
+    );
+    assert!(compare_bench_docs(&base, &noisy, 25.0).is_empty());
+    // The minimum itself rises past the band: drift, named by the
+    // minimum's field.
+    let slow = bench_doc(
+        "t",
+        3,
+        vec![row("a", &[("mono_ns", 1000), ("mono_min_ns", 1126)])],
+    );
+    let drifts = compare_bench_docs(&base, &slow, 25.0);
+    assert_eq!(drifts.len(), 1);
+    assert_eq!(drifts[0].field, "mono_min_ns");
+    assert!(drifts[0].timing);
 }
 
 #[test]

@@ -56,7 +56,7 @@
 //!   testing this tool, not for production runs.
 //! * `--metrics PATH` (or `QUAL_METRICS=PATH`): write a versioned JSON
 //!   metrics document for the whole invocation — per-phase spans
-//!   (parse, sema, cgen-constraints, solve-propagate, certify,
+//!   (parse, sema, fdg, cgen-constraints, solve-propagate, certify,
 //!   cache-read, cache-write, merge), counters, peaks, and one entry
 //!   per analysis unit (see DESIGN.md §13). Instrumentation never
 //!   changes counts, diagnostics, or exit codes.

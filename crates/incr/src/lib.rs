@@ -308,7 +308,10 @@ fn plan_units(src: &str, cfg: &IncrConfig) -> Planned {
         skipped,
     } = recover_front_end(src);
     let space = cfg.space.clone();
-    let fdg = Fdg::build(&program);
+    let fdg = {
+        let _span = qual_obs::span("fdg");
+        Fdg::build(&program)
+    };
 
     // Pretty-printed text per defined function: the content half of
     // every unit key.

@@ -172,6 +172,57 @@ fn jobs_and_cache_flags_report_identically_to_serial() {
     }
 }
 
+/// A struct field's cell is shared by every instance (§4.2) and is
+/// never generalized: `w` writes through what `get` returns, which is
+/// the field `set` stores `v` into, so `v` cannot be const in any mode
+/// or venue, whichever function comes first.
+const FIELD_GET: &str = "char *get(struct s *p) { return p->f; }\n";
+const FIELD_W: &str = "void w(struct s *p) { char *c = get(p); c[0] = 1; }\n";
+
+#[test]
+fn struct_fields_stay_shared_in_every_mode_and_venue() {
+    let dir = TempDir::new("fields");
+    let set = "void set(struct s *p, char *v) { p->f = v; }\n";
+    let set_const = "void set(struct s *p, const char *v) { p->f = v; }\n";
+    let head = "struct s { char *f; };\n";
+    dir.write("field.c", &[head, FIELD_GET, FIELD_W, set].concat());
+    dir.write("field2.c", &[head, set, FIELD_GET, FIELD_W].concat());
+    dir.write("field3.c", &[head, FIELD_GET, FIELD_W, set_const].concat());
+    for (i, name) in ["field.c", "field2.c", "field3.c"].into_iter().enumerate() {
+        let file = dir.0.join(name);
+        let file = file.to_str().unwrap();
+        for mode in ["mono", "poly", "polyrec"] {
+            let cache = dir.0.join(format!("cache-{i}-{mode}"));
+            let venues: [&[&str]; 5] = [
+                &[],
+                &["--jobs", "1"],
+                &["--jobs", "2"],
+                &["--cache-dir", cache.to_str().unwrap()],
+                &["--cache-dir", cache.to_str().unwrap()],
+            ];
+            for venue in venues {
+                let args: Vec<&str> =
+                    ["--mode", mode].into_iter().chain(venue.iter().copied()).chain([file]).collect();
+                let out = cqual(&args);
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                if name == "field3.c" {
+                    // A const pointer stored in the field, then written
+                    // through a value read back out of it.
+                    assert_eq!(out.status.code(), Some(1), "{args:?}\n{stdout}\n{stderr}");
+                    assert!(stderr.contains("unsatisfiable"), "{args:?}\n{stderr}");
+                } else {
+                    assert_eq!(out.status.code(), Some(0), "{args:?}\n{stdout}\n{stderr}");
+                    assert!(
+                        stdout.contains("set(arg 1, level 0)              cannot be const"),
+                        "{args:?}\n{stdout}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn a_function_defined_twice_reports_identically_with_and_without_jobs() {
     let dir = TempDir::new("redefined");

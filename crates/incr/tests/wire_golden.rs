@@ -192,8 +192,8 @@ const QINC_KEY: &str = "f3864dd6ae5dd2660812fe803740bded";
 const LONG_KEY: &str = "cb46479c13d5022dc18040a2ece20e68";
 
 const QINC: &str = concat!(
-    // "QINC", format version 3, generation 7, payload length 13, checksum
-    "51494e43_03000000_0700000000000000_0d00000000000000_217a4750288bf9a8",
+    // "QINC", format version 4, generation 7, payload length 13, checksum
+    "51494e43_04000000_0700000000000000_0d00000000000000_217a4750288bf9a8",
     // "fixed payload"
     "6669786564207061796c6f6164",
 );

@@ -6,7 +6,7 @@
 //! provides:
 //!
 //! * **Spans** — monotonic-clock wall timings per named phase
-//!   (`parse`, `sema`, `cgen-constraints`, `solve-propagate`,
+//!   (`parse`, `sema`, `fdg`, `cgen-constraints`, `solve-propagate`,
 //!   `certify`, `cache-read`, `cache-write`, `merge`), recorded into a
 //!   thread-local collector;
 //! * **Counters and peaks** — constraint counts, qualifier-variable

@@ -2,6 +2,7 @@
 //! decomposition (§3.1 of the paper).
 
 use std::fmt;
+use std::ops::Range;
 
 use qual_lattice::QualSpace;
 
@@ -98,6 +99,25 @@ impl ConstraintSet {
     /// Appends every constraint of `other` (the `C₁ ∪ C₂` production).
     pub fn extend_from(&mut self, other: &ConstraintSet) {
         self.constraints.extend_from_slice(&other.constraints);
+    }
+
+    /// Appends, in order, what `f` makes of each constraint in the
+    /// index range `window` of this same set, skipping those it maps to
+    /// `None`. A [`crate::WindowScheme`] instantiates this way, re-reading
+    /// its window in place instead of keeping a copy.
+    ///
+    /// # Panics
+    ///
+    /// If `window` reaches past the end of the set.
+    pub(crate) fn extend_from_within(
+        &mut self,
+        window: Range<usize>,
+        mut f: impl FnMut(&Constraint) -> Option<Constraint>,
+    ) {
+        for i in window {
+            let c = self.constraints[i];
+            self.constraints.extend(f(&c));
+        }
     }
 
     /// The constraints, in insertion order.

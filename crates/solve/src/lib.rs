@@ -61,7 +61,7 @@ pub use constraint::{Constraint, ConstraintSet};
 pub use diag::{sort_diagnostics, Diagnostic, Phase, Severity};
 pub use error::{SolveError, SolveFailure, Violation};
 pub use explain::{explain, Explanation};
-pub use scheme::Scheme;
+pub use scheme::{Scheme, WindowScheme};
 pub use simplify::{compact, Compacted};
 pub use solver::Solution;
 pub use term::{Provenance, QVar, Qual, VarSupply};

@@ -9,8 +9,14 @@
 //! the bound-variable constraints inside the scheme (they are re-emitted,
 //! renamed, at each use) while constraints among free variables stay in
 //! the caller's constraint set exactly once.
+//!
+//! A [`WindowScheme`] is the same scheme without the copy: when the bound
+//! variables and their constraints were generated in one window of a
+//! constraint set, it records the two index ranges and re-reads the
+//! window at each use.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::term::{QVar, Qual, VarSupply};
@@ -163,6 +169,107 @@ impl<B> Scheme<B> {
     }
 }
 
+/// A polymorphic constrained value `∀κ⃗. body \ C` whose `C` stays where
+/// generation put it: in a window of the generating [`ConstraintSet`].
+///
+/// When a binding group's bodies are generated inside one window — every
+/// bound variable issued in the index range `vars`, every constraint
+/// appended in the index range `window` — and the set only grows after
+/// the window closes, the constraints mentioning a bound variable all lie
+/// in the window. [`Scheme::generalize_in`] over that window would copy
+/// exactly them; a window scheme keeps the two ranges instead, so
+/// generalization copies nothing and a binding nobody uses never costs a
+/// constraint. Because the bound variables are one contiguous range,
+/// instantiation renames by offset rather than through a map.
+#[derive(Debug, Clone)]
+pub struct WindowScheme<B> {
+    body: B,
+    vars: Range<usize>,
+    window: Range<usize>,
+}
+
+impl<B> WindowScheme<B> {
+    /// Generalizes `body` over the variables with indices in `vars`,
+    /// capturing the constraints in the index range `window` of the set
+    /// they were generated in.
+    pub fn new(body: B, vars: Range<usize>, window: Range<usize>) -> WindowScheme<B> {
+        WindowScheme { body, vars, window }
+    }
+
+    /// A shared view of the body.
+    #[must_use]
+    pub fn body(&self) -> &B {
+        &self.body
+    }
+
+    /// The quantified variables `κ⃗`, in issue order.
+    pub fn bound_vars(&self) -> impl ExactSizeIterator<Item = QVar> {
+        self.vars.clone().map(QVar::from_index)
+    }
+
+    /// The index range, in the generating set, of the window the
+    /// captured constraints are read from.
+    #[must_use]
+    pub fn window(&self) -> Range<usize> {
+        self.window.clone()
+    }
+
+    fn binds(&self, v: QVar) -> bool {
+        self.vars.contains(&v.index())
+    }
+
+    fn mentions_bound(&self, c: &Constraint) -> bool {
+        [c.lhs, c.rhs]
+            .into_iter()
+            .filter_map(Qual::as_var)
+            .any(|v| self.binds(v))
+    }
+
+    /// The captured constraints: those of the window in `cs` (the set
+    /// the scheme was generalized in) that mention a bound variable, in
+    /// order.
+    pub fn captured<'c>(&'c self, cs: &'c ConstraintSet) -> impl Iterator<Item = &'c Constraint> {
+        cs.constraints()[self.window.clone()]
+            .iter()
+            .filter(|c| self.mentions_bound(c))
+    }
+
+    /// Instantiates the scheme in `cs`, the set it was generalized in:
+    /// draws one fresh variable per bound variable, re-emits the captured
+    /// constraints (renamed) onto the end of `cs`, and returns
+    /// `rename_body` applied to the body and the substitution. Emits
+    /// exactly what [`Scheme::instantiate`] emits for the scheme
+    /// [`Scheme::generalize_in`] builds over the same window and bound
+    /// variables.
+    pub fn instantiate<R>(
+        &self,
+        supply: &mut VarSupply,
+        cs: &mut ConstraintSet,
+        rename_body: impl FnOnce(&B, &dyn Fn(QVar) -> QVar) -> R,
+    ) -> R {
+        let base = supply.count();
+        for _ in self.vars.clone() {
+            supply.fresh();
+        }
+        let subst = |v: QVar| {
+            if self.binds(v) {
+                QVar::from_index(base + (v.index() - self.vars.start))
+            } else {
+                v
+            }
+        };
+        cs.extend_from_within(self.window.clone(), |c| {
+            self.mentions_bound(c).then(|| Constraint {
+                lhs: rename_qual(c.lhs, &subst),
+                rhs: rename_qual(c.rhs, &subst),
+                mask: c.mask,
+                origin: c.origin,
+            })
+        });
+        rename_body(&self.body, &subst)
+    }
+}
+
 fn rename_qual(q: Qual, subst: &impl Fn(QVar) -> QVar) -> Qual {
     match q {
         Qual::Var(v) => Qual::Var(subst(v)),
@@ -223,6 +330,35 @@ mod tests {
             .constraints()
             .iter()
             .any(|c| c.rhs == Qual::Var(free) && c.lhs == Qual::Var(inst2)));
+    }
+
+    #[test]
+    fn window_scheme_emits_what_the_copied_scheme_emits() {
+        let space = QualSpace::const_only();
+        let konst = space.parse_set("const").unwrap();
+        let mut vs = VarSupply::new();
+        let free = vs.fresh();
+        let mut cs = ConstraintSet::new();
+        cs.add(free, free); // before the window: never captured
+        let (mark, cs_mark) = (vs.count(), cs.len());
+        let (a, b) = (vs.fresh(), vs.fresh());
+        cs.add_with(a, free, Provenance::synthetic("body"));
+        cs.add_with(free, Qual::Const(konst), Provenance::synthetic("free only"));
+        cs.add_with(Qual::Const(konst), b, Provenance::synthetic("annot"));
+        let window = WindowScheme::new((a, b), mark..vs.count(), cs_mark..cs.len());
+        assert_eq!(window.captured(&cs).count(), 2);
+        assert!(window.binds(b) && !window.binds(free));
+
+        let copied = Scheme::generalize_in((a, b), vec![a, b], &cs.constraints()[window.window()]);
+        let (mut vs1, mut vs2) = (vs.clone(), vs.clone());
+        let mut live = cs.clone();
+        let mut out = ConstraintSet::new();
+        let via_window = window.instantiate(&mut vs1, &mut live, |&(x, y), f| (f(x), f(y)));
+        let via_copy = copied.instantiate(&mut vs2, &mut out, |&(x, y), f| (f(x), f(y)));
+        assert_eq!(via_window, via_copy);
+        assert_eq!(vs1.count(), vs2.count());
+        assert_eq!(&live.constraints()[cs.len()..], out.constraints());
+        assert_eq!(out.constraints()[0].rhs, Qual::Var(free));
     }
 
     #[test]
