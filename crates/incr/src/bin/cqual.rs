@@ -62,15 +62,16 @@
 //!   changes counts, diagnostics, or exit codes.
 //! * `--connect SOCKET`: send the `--report` analysis to a resident
 //!   `cquald` daemon on SOCKET instead of analyzing in process. The
-//!   client retries an `Overloaded` reply up to 3 times, honoring the
-//!   daemon's retry hint capped at 250 ms per sleep; if the daemon is
-//!   unreachable, still overloaded, or answers with an error, the run
-//!   *degrades to an in-process analysis* with a note on stderr. The
-//!   request carries no budgets, so a run with `--max-constraints`,
-//!   `--max-solver-steps`, `--max-fn-work` or `--memory-budget-mb` away
-//!   from its default analyzes in process from the start, with a note.
-//!   The printed report and the exit code are those of `--jobs 1`
-//!   either way — `--connect` is purely an execution venue.
+//!   daemon runs the same engine plain `cqual` runs, so the run prints
+//!   what `cqual` prints without `--connect`: the same stdout, stderr
+//!   and exit code. The client retries an `Overloaded` reply up to 3
+//!   times, honoring the daemon's retry hint capped at 250 ms per
+//!   sleep. The daemon serves only the plain `--report` at default
+//!   budgets; with `--annotate`, `--rewrite`, `--explain`, `--jobs`,
+//!   `--cache-dir`, `--cache-stats`, `--memory-budget-mb` or a budget
+//!   flag, or when the daemon is unreachable, still overloaded or
+//!   answers with an error, the run prints one note on stderr and does
+//!   what it does without `--connect`.
 //! * `--metrics-summary`: print the same data as a human-readable
 //!   table on stdout after the report.
 //!
@@ -82,9 +83,9 @@
 //! reports whether *any* input produced diagnostics.
 //!
 //! The whole pipeline is fault-isolated: unparseable items, functions
-//! that fail sema, exhaust an analysis budget, blow a served request's
-//! deadline, or get quarantined after a worker panic are skipped with a
-//! rendered diagnostic while counts are still produced for the rest.
+//! that fail sema, exhaust an analysis budget, or get quarantined after
+//! a worker panic are skipped with a rendered diagnostic while counts
+//! are still produced for the rest.
 //! Every venue prints its result through one renderer, with
 //! diagnostics sorted by source position.
 //!
@@ -93,7 +94,7 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | completely clean run (also `--help`, which prints usage on stdout) |
-//! | 1    | analysis finished but skipped something (including quarantined or deadline-cancelled units), solving failed, or an input could not be read |
+//! | 1    | analysis finished but skipped something (including quarantined units), solving failed, or an input could not be read |
 //! | 2    | bad usage (unknown flag, missing argument, no input files, malformed `--fault-plan`); usage goes to stderr |
 //! | 3    | `--verify` found a result that failed certification |
 //!
@@ -104,7 +105,7 @@
 //! (`cqual big.c | head -1`) ends the output there; the run exits with
 //! the code it computed, without a panic.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -527,21 +528,16 @@ fn run_batch(cfg: &Config, files: &[String]) -> ExitCode {
 /// healthy part plus rendered diagnostics for everything skipped, and
 /// returns the diagnostic tallies.
 fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
-    if cfg.action == Action::Report {
-        if cfg.connect.is_some() {
-            return analyze_and_print_connect(cfg, src);
+    if let Some(socket) = &cfg.connect {
+        match served_report(cfg, socket, src) {
+            Ok(frame) => return print_frame(&frame, None, ""),
+            Err(why) => eprintln!("cqual: {why}; analyzing in process instead"),
         }
-        if cfg.incremental() {
-            return analyze_and_print_incremental(cfg, src);
-        }
-    }
-    if cfg.connect.is_some() {
-        eprintln!(
-            "cqual: note: --annotate/--rewrite use the classic in-process \
-             pipeline; --connect applies to --report only"
-        );
     }
     if cfg.incremental() {
+        if cfg.action == Action::Report {
+            return analyze_and_print_incremental(cfg, src);
+        }
         eprintln!(
             "cqual: note: --annotate/--rewrite use the classic pipeline; \
              --jobs/--cache-dir apply to --report only"
@@ -566,17 +562,7 @@ fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
     } else {
         String::new()
     };
-    let frame = serve::report_frame(
-        src,
-        cfg.mode,
-        cfg.verify,
-        outcome
-            .result
-            .as_ref()
-            .map(|r| (r.counts, r.positions.as_slice(), r.qual_counts.as_slice())),
-        &outcome.skipped,
-        outcome.certified(),
-    );
+    let frame = serve::engine_report(src, cfg.mode, cfg.verify, &outcome);
     print_frame(&frame, view.as_deref(), &trailer)
 }
 
@@ -591,7 +577,19 @@ fn analyze_and_print_incremental(cfg: &Config, src: &str) -> RunStats {
              ignored under --jobs/--cache-dir"
         );
     }
-    let icfg = incr_config(cfg);
+    let icfg = IncrConfig {
+        mode: cfg.mode,
+        space: cfg.space.clone(),
+        options: Options {
+            verify_solutions: cfg.verify,
+            ..Options::default()
+        },
+        budgets: cfg.budgets,
+        jobs: cfg.jobs.unwrap_or(1),
+        cache_dir: cfg.cache_dir.clone(),
+        memory_budget_mb: cfg.memory_budget_mb,
+        ..IncrConfig::default()
+    };
     // `--cache-stats` is served *from the metrics layer*: the run is
     // collected into a report and the stats lines are rendered from its
     // counters, so the human output and `--metrics` JSON are two views
@@ -621,44 +619,24 @@ fn analyze_and_print_incremental(cfg: &Config, src: &str) -> RunStats {
     print_frame(&frame, None, &cache_lines)
 }
 
-/// The incremental-driver configuration a `Config` asks for — shared by
-/// the local incremental path and the `--connect` fallback, so both
-/// venues analyze identically.
-fn incr_config(cfg: &Config) -> IncrConfig {
-    IncrConfig {
-        mode: cfg.mode,
-        space: cfg.space.clone(),
-        options: Options {
-            verify_solutions: cfg.verify,
-            ..Options::default()
-        },
-        budgets: cfg.budgets,
-        jobs: cfg.jobs.unwrap_or(1),
-        cache_dir: cfg.cache_dir.clone(),
-        memory_budget_mb: cfg.memory_budget_mb,
-        ..IncrConfig::default()
+/// `--connect`: the report a resident `cquald` serves. The daemon runs
+/// the plain engine's `--report` at default budgets, so any other
+/// choice of flags is refused up front; so is daemon trouble
+/// (unreachable socket, persistent overload, a server error). The
+/// `Err` says why, and the caller then runs what plain `cqual` runs.
+fn served_report(cfg: &Config, socket: &Path, src: &str) -> Result<ReportFrame, String> {
+    if cfg.action != Action::Report || cfg.explain {
+        return Err("note: the daemon serves the report only, without \
+                    --annotate, --rewrite or --explain"
+            .to_owned());
     }
-}
-
-/// `--connect`: route the report through a resident `cquald`. Any
-/// daemon trouble — unreachable socket, persistent overload, a server
-/// error — degrades to the in-process incremental analysis with a note
-/// on stderr, and so do budgets the request cannot carry; the printed
-/// report and the exit code never depend on the venue (both sides
-/// print through [`print_frame`] from the same [`ReportFrame`] shape).
-fn analyze_and_print_connect(cfg: &Config, src: &str) -> RunStats {
-    let socket = cfg.connect.clone().expect("checked by the caller");
-    if cfg.explain {
-        eprintln!(
-            "cqual: note: --explain uses the classic pipeline and is \
-             ignored under --connect"
-        );
+    if cfg.budgets != Budgets::default() || cfg.memory_budget_mb.is_some() {
+        return Err("note: the daemon protocol carries no budgets".to_owned());
     }
-    if cfg.cache_stats {
-        eprintln!(
-            "cqual: note: --cache-stats describes a local session and is \
-             ignored under --connect (the daemon owns the cache session)"
-        );
+    if cfg.incremental() {
+        return Err("note: the daemon runs the plain engine, not the \
+                    --jobs/--cache-dir driver"
+            .to_owned());
     }
     let req = AnalyzeReq {
         version: PROTO_VERSION,
@@ -668,23 +646,10 @@ fn analyze_and_print_connect(cfg: &Config, src: &str) -> RunStats {
         verify: cfg.verify,
         deadline_ms: None,
     };
-    let frame = if cfg.budgets != Budgets::default() || cfg.memory_budget_mb.is_some() {
-        eprintln!(
-            "cqual: note: the daemon protocol carries no budgets; analyzing \
-             in process instead"
-        );
-        serve::local_report(&incr_config(cfg), &req)
-    } else {
-        match serve::request_analyze(&serve::Connect::new(socket), &req) {
-            Ok(frame) => frame,
-            Err(e) => {
-                eprintln!("cqual: {e}; analyzing in process instead");
-                qual_obs::count("serve.fallback", 1);
-                serve::local_report(&incr_config(cfg), &req)
-            }
-        }
-    };
-    print_frame(&frame, None, "")
+    serve::request_analyze(&serve::Connect::new(socket.to_path_buf()), &req).map_err(|e| {
+        qual_obs::count("serve.fallback", 1);
+        e.to_string()
+    })
 }
 
 /// Prints one analysis — served by a daemon or produced locally, the
@@ -707,16 +672,7 @@ fn print_frame(frame: &ReportFrame, view: Option<&str>, trailer: &str) -> RunSta
                 _ => "could be const",
             };
             let declared = if p.declared { " [declared]" } else { "" };
-            let label = qual_constinfer::Position {
-                function: p.function.clone(),
-                param: p.param.map(|i| i as usize),
-                level: p.level as usize,
-                declared: p.declared,
-                class: serve::class_from_tag(p.class)
-                    .unwrap_or(PositionClass::Either),
-            }
-            .label();
-            outln!("  {label:<32} {class}{declared}");
+            outln!("  {:<32} {class}{declared}", p.label());
         }
         print_qual_counts(&frame.qual_counts);
     }

@@ -2,19 +2,24 @@
 //! `cqual --connect` (DESIGN.md §16).
 //!
 //! ```text
-//! cquald --socket PATH [--cache-dir DIR] [--mode mono|poly|polyrec]
-//!        [--jobs N] [--max-inflight N] [--queue-cap N]
+//! cquald --socket PATH [--max-inflight N] [--queue-cap N]
 //!        [--memory-budget-mb N]
 //! ```
 //!
-//! The daemon holds one analysis session resident (a driver over the
-//! QINC cache directory plus a memo of recent reports) and serves QSP1 server frames
-//! on the unix socket. It admits a bounded amount of work and sheds the
-//! rest with structured `Overloaded` replies; it drains gracefully on
-//! SIGTERM/SIGINT or a client Shutdown frame; and because every durable
-//! byte lives in the crash-safe QINC cache, `kill -9` at any moment
-//! loses only in-flight requests — the next `cquald` on the same socket
-//! steals the stale file at once and serves warm.
+//! The daemon answers each analysis request with one run of the
+//! whole-program engine plain `cqual` runs, in the mode, qualifiers and
+//! verify flag the request carries, and keeps a memo of recent reports
+//! and the last report served for position queries. It serves QSP1
+//! server frames on the unix socket. It admits a bounded amount of work
+//! and sheds the rest with structured `Overloaded` replies; it drains
+//! gracefully on SIGTERM/SIGINT or a client Shutdown frame; and because
+//! it keeps no durable state, `kill -9` at any moment loses only
+//! in-flight requests — the next `cquald` on the same socket steals the
+//! stale file at once and serves.
+//!
+//! `--memory-budget-mb N` bounds the gross allocation of one request's
+//! analysis; a request that overruns it answers with an error, and the
+//! client analyzes in process.
 //!
 //! Timeouts are fixed: a request the client sent without a deadline gets
 //! 30 s, one frame must arrive within 10 s of its first byte, an idle
@@ -22,24 +27,22 @@
 //! work.
 //!
 //! Exit codes: 0 after a drain, 1 when serving could not start, 2 for
-//! bad usage.
+//! bad usage (an unknown flag among them).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qual_constinfer::Mode;
 use qual_incr::serve::{run, ServeConfig};
 
 /// The daemon is long-lived, so the tracking allocator matters most
 /// here: it feeds the `mem.peak_bytes`/`mem.live_bytes` gauges the
-/// soak harness bounds and arms `--memory-budget-mb` per unit.
+/// soak harness bounds and measures `--memory-budget-mb` per request.
 #[global_allocator]
 static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cquald --socket PATH [--cache-dir DIR] [--mode mono|poly|polyrec]\n\
-         \x20             [--jobs N] [--max-inflight N] [--queue-cap N]\n\
+        "usage: cquald --socket PATH [--max-inflight N] [--queue-cap N]\n\
          \x20             [--memory-budget-mb N]"
     );
     ExitCode::from(2)
@@ -61,18 +64,6 @@ fn main() -> ExitCode {
             "--socket" => match args.next() {
                 Some(p) => socket = Some(PathBuf::from(p)),
                 None => return usage(),
-            },
-            "--cache-dir" => match args.next() {
-                Some(d) => cfg.incr.cache_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--mode" => match args.next().as_deref().and_then(Mode::from_name) {
-                Some(mode) => cfg.incr.mode = mode,
-                None => return usage(),
-            },
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.incr.jobs = n,
-                _ => return usage(),
             },
             "--max-inflight" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => cfg.max_inflight = n,

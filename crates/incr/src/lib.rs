@@ -92,12 +92,14 @@ pub struct IncrConfig {
     /// Additional attempts after a transient cache I/O failure
     /// (0 = fail fast). Applies to entry reads and entry writes.
     pub max_retries: u32,
-    /// Per-unit memory budget in MiB (`--memory-budget-mb`). A unit
-    /// whose gross allocation exceeds it is quarantined with a
+    /// Per-unit memory budget in MiB (`cqual --memory-budget-mb`). A
+    /// unit whose gross allocation exceeds it is quarantined with a
     /// structured diagnostic — the rollback-and-exclude path a
     /// solver-step overrun takes — instead of aborting the process.
-    /// Only enforced in binaries that install the
-    /// [`qual_obs::mem::TrackingAlloc`] shim; `None` disables it.
+    /// `cquald` reads it as the bound on one request
+    /// ([`serve::ServeConfig::incr`]). Only enforced in binaries that
+    /// install the [`qual_obs::mem::TrackingAlloc`] shim; `None`
+    /// disables it.
     pub memory_budget_mb: Option<u64>,
 }
 
@@ -439,73 +441,15 @@ fn plan_units(src: &str, cfg: &IncrConfig) -> Planned {
 /// Runs the incremental analysis end to end. Never panics on bad input
 /// or bad cache state; every fault is a structured diagnostic.
 ///
-/// Prepares the cache directory afresh per call; a long-lived process
-/// serving many analyses (the `cquald` daemon) keeps one [`Driver`]
-/// instead so the directory is prepared once and the disk-full latch
-/// spans every analysis.
+/// Prepares the cache directory (when `cfg.cache_dir` is set) before
+/// planning: an unusable directory becomes a note in the outcome, and
+/// the run carries on uncached.
 #[must_use]
 pub fn analyze_source_incremental(src: &str, cfg: &IncrConfig) -> IncrOutcome {
-    Driver::new(cfg).analyze(src)
-}
-
-/// A resident analysis session: the QINC cache directory prepared once
-/// (created, crash debris swept), then reused across any number of
-/// analyses. Scheduling is session-independent — every
-/// [`Driver::analyze_with`] call plans and executes its own units
-/// against the shared session, so concurrent callers (the daemon's
-/// worker threads) only share immutable state and the disk-full latch.
-#[derive(Debug)]
-pub struct Driver {
-    cfg: IncrConfig,
-    /// The "unusable" note when the cache directory cannot be created;
-    /// every analysis reports it.
-    cache_note: Option<String>,
-    /// Disk-full degrade latch, shared by every analysis in the
-    /// session: one diagnostic per ENOSPC episode, a heal note when
-    /// space returns, and retry suppression while degraded.
-    cache_health: cache::Health,
-}
-
-impl Driver {
-    /// Prepares the cache directory (when `cfg.cache_dir` is set) and
-    /// fixes the session-level knobs. Never fails: an unusable
-    /// directory becomes a note that every subsequent analysis
-    /// reports.
-    #[must_use]
-    pub fn new(cfg: &IncrConfig) -> Driver {
-        Driver {
-            cfg: cfg.clone(),
-            cache_note: cfg.cache_dir.as_deref().and_then(cache::prepare_dir),
-            cache_health: cache::Health::new(),
-        }
-    }
-
-    /// Analyzes one source under the session's own configuration.
-    #[must_use]
-    pub fn analyze(&self, src: &str) -> IncrOutcome {
-        self.analyze_with(src, &self.cfg)
-    }
-
-    /// Analyzes one source with per-request knob overrides (mode,
-    /// options, budgets, jobs, deadlines). The cache directory and retry
-    /// policy always come from the `Driver`, so a per-request `cfg`
-    /// cannot detach an analysis from the resident session.
-    #[must_use]
-    pub fn analyze_with(&self, src: &str, overrides: &IncrConfig) -> IncrOutcome {
-        let cfg = IncrConfig {
-            cache_dir: self.cfg.cache_dir.clone(),
-            max_retries: self.cfg.max_retries,
-            ..overrides.clone()
-        };
-        analyze_in_session(self, src, &cfg)
-    }
-}
-
-/// The session-independent analysis body: plans, schedules, and merges
-/// one source against an already-open session. Every piece of mutable
-/// state lives in this call frame, so any number of these can run
-/// concurrently over one [`Driver`].
-fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutcome {
+    let cache_note = cfg.cache_dir.as_deref().and_then(cache::prepare_dir);
+    // Disk-full degrade latch: one diagnostic per ENOSPC episode, a heal
+    // note when space returns, and retry suppression while degraded.
+    let cache_health = cache::Health::new();
     let Planned {
         mut program,
         sema,
@@ -523,7 +467,7 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         ..IncrStats::default()
     };
     let mut cache_diags: Vec<Diagnostic> = Vec::new();
-    if let Some(msg) = &driver.cache_note {
+    if let Some(msg) = cache_note {
         cache_diags.push(Diagnostic::warning(Phase::Infer, format!("cache: {msg}")));
     }
     let policy = RetryPolicy {
@@ -535,7 +479,7 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
         space: &space,
         cfg,
         policy,
-        health: &driver.cache_health,
+        health: &cache_health,
     };
     let mut summaries: Vec<Option<UnitSummary>> =
         (0..plans.len()).map(|_| None).collect();
@@ -557,7 +501,7 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
             // A successful store is the degrade re-probe: the first one
             // after an ENOSPC episode flips the latch back with a heal
             // note.
-            if let Some(heal) = driver.cache_health.note_store_ok() {
+            if let Some(heal) = cache_health.note_store_ok() {
                 cache_diags.push(Diagnostic::warning(Phase::Infer, heal));
             }
         }
@@ -582,7 +526,7 @@ fn analyze_in_session(driver: &Driver, src: &str, cfg: &IncrConfig) -> IncrOutco
                 // travel in `Executed` as strings, so classify by
                 // message.
                 qual_obs::count("cache.enospc_stores", 1);
-                if let Some(d) = driver.cache_health.note_disk_full() {
+                if let Some(d) = cache_health.note_disk_full() {
                     cache_diags.push(Diagnostic::warning(Phase::Infer, d));
                 }
             } else {

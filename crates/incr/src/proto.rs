@@ -25,7 +25,7 @@
 //! | 7    | Analyze      | protocol version, source text, mode, verify flag, optional request deadline |
 //! | 8    | Reanalyze    | same as Analyze, but bypasses (and replaces) the daemon's memoized result |
 //! | 9    | QueryQual    | function name, optional parameter index, pointer level |
-//! | 10   | Explain      | empty — render the resident session's diagnostics |
+//! | 10   | Explain      | empty — render the resident report's diagnostics |
 //! | 11   | Stats        | empty — daemon counters snapshot |
 //! | 3    | Shutdown     | empty — a client asks the daemon to drain (acked with Shutdown) |
 //! | 12   | Report       | the full analysis result (counts, positions, rendered diagnostics, cache notes, warm/reuse accounting) |
@@ -48,7 +48,7 @@
 
 use std::io::{Read, Write};
 
-use qual_constinfer::{Mode, PositionClass};
+use qual_constinfer::{Mode, Position, PositionClass};
 use qual_solve::wire::{self, Reader, WireError, Writer};
 
 /// Protocol version, carried in every [`AnalyzeReq`]; a daemon built
@@ -128,8 +128,7 @@ pub struct AnalyzeReq {
     pub deadline_ms: Option<u64>,
 }
 
-/// One interesting position, flattened for the wire (the daemon and
-/// the client rebuild `qual_constinfer::Position` from it).
+/// One interesting position, flattened for the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WirePosition {
     /// Owning function (or object) name.
@@ -142,6 +141,22 @@ pub struct WirePosition {
     pub declared: bool,
     /// Class tag: 0 must-const, 1 must-not-const, 2 either.
     pub class: u8,
+}
+
+impl WirePosition {
+    /// The label `cqual` prints for this position, such as
+    /// `f(arg 0, level 1)` (see [`Position::label`]).
+    #[must_use]
+    pub fn label(&self) -> String {
+        Position {
+            function: self.function.clone(),
+            param: self.param.map(|i| i as usize),
+            level: self.level as usize,
+            declared: self.declared,
+            class: PositionClass::Either,
+        }
+        .label()
+    }
 }
 
 /// The payload of a Report frame — a complete analysis result, carrying
@@ -170,14 +185,15 @@ pub struct ReportFrame {
     /// constraints the solution satisfies, or the unsat paths that
     /// witness a conflict (0 when the solve claimed nothing).
     pub certified: u64,
-    /// Units quarantined after an analysis panic.
+    /// Units quarantined after an analysis panic (driver reports only).
     pub quarantined: u64,
-    /// The reply was served without fresh analysis (memoized, or every
-    /// unit reused from the QINC cache).
+    /// The daemon answered from its report memo, without a fresh
+    /// analysis.
     pub warm: bool,
-    /// Units served from the cache.
+    /// Units served from the cache. The daemon runs the whole-program
+    /// engine, not units, and always sends 0.
     pub reused: u64,
-    /// Units analyzed fresh.
+    /// Units analyzed fresh; 0 from the daemon, like `reused`.
     pub analyzed: u64,
 }
 
@@ -191,7 +207,7 @@ pub enum Frame {
     Analyze(Box<AnalyzeReq>),
     /// Client → daemon: analyze afresh, replacing any memoized result.
     Reanalyze(Box<AnalyzeReq>),
-    /// Client → daemon: query one position of the resident session.
+    /// Client → daemon: query one position of the resident report.
     QueryQual {
         /// Owning function name.
         function: String,
@@ -200,7 +216,7 @@ pub enum Frame {
         /// Pointer depth of the qualified level.
         level: u32,
     },
-    /// Client → daemon: render the resident session's diagnostics.
+    /// Client → daemon: render the resident report's diagnostics.
     Explain,
     /// Client → daemon: snapshot the daemon's counters.
     Stats,
@@ -208,7 +224,7 @@ pub enum Frame {
     Report(Box<ReportFrame>),
     /// Daemon → client: one position's classification.
     QualReply {
-        /// The resident session knows this position.
+        /// The resident report lists this position.
         found: bool,
         /// Class tag: 0 must-const, 1 must-not-const, 2 either.
         class: u8,

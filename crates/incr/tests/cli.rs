@@ -5,7 +5,8 @@
 //! counts for the healthy file, and exit 1. An all-clean batch exits 0.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 struct TempDir(PathBuf);
 
@@ -637,19 +638,19 @@ fn connect_without_a_daemon_degrades_in_process_with_identical_bytes() {
     let sock = dir.0.join("nobody-home.sock");
     let sock = sock.to_str().unwrap();
 
-    let local = cqual(&["--jobs", "1", file]);
+    let local = cqual(&[file]);
     assert_eq!(local.status.code(), Some(0));
     let fell_back = cqual(&["--connect", sock, file]);
     assert_eq!(fell_back.status.code(), Some(0), "fallback keeps exit codes");
     assert_eq!(
         String::from_utf8_lossy(&fell_back.stdout),
         String::from_utf8_lossy(&local.stdout),
-        "fallback must be byte-identical to the local run"
+        "fallback must be byte-identical to the plain run"
     );
+    let stderr = String::from_utf8_lossy(&fell_back.stderr);
     assert!(
-        String::from_utf8_lossy(&fell_back.stderr)
-            .contains("analyzing in process instead"),
-        "fallback is announced on stderr"
+        stderr.ends_with("analyzing in process instead\n") && stderr.lines().count() == 1,
+        "fallback is announced on stderr in one line: {stderr}"
     );
 
     // Daemon trouble never changes the exit code: a file with
@@ -730,4 +731,35 @@ fn failed_metrics_write_preserves_previous_document_and_exit_code() {
         .expect("spawn cqual");
     assert_eq!(faulted.status.code(), Some(0));
     assert!(!fresh_path.exists(), "denied write must not publish a file");
+}
+
+#[test]
+fn cquald_refuses_its_removed_flags_with_usage() {
+    let dir = TempDir::new("cquald-flags");
+    let socket = dir.0.join("d.sock");
+    for flags in [&["--cache-dir", "D"][..], &["--jobs", "2"], &["--mode", "poly"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_cquald"))
+            .arg("--socket")
+            .arg(&socket)
+            .args(flags)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn cquald");
+        // A daemon that accepted the flag would serve until killed.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while child.try_wait().expect("poll cquald").is_none() {
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("cquald output");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: cquald"),
+            "{flags:?}: usage goes to stderr"
+        );
+    }
 }

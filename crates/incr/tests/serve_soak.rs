@@ -14,8 +14,8 @@
 //! * **Byte-identical once faults clear.** The environment machines
 //!   self-heal (a full disk "garbage collects" after a bounded denial
 //!   streak), and after they do, every source must produce exactly the
-//!   frames a clean daemon produced — the memo, the QINC cache, and
-//!   the resident session all recover, nothing stays poisoned.
+//!   frames a clean daemon produced — the memo and the resident report
+//!   both recover, nothing stays poisoned.
 //! * **Clean drain.** Both daemons exit 0 on a Shutdown frame and
 //!   remove their socket files.
 //!
@@ -43,8 +43,8 @@ use qual_incr::serve::{self, ClientError, Connect};
 #[global_allocator]
 static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
 
-/// Distinct sources so the memo, dedup, and cache all see real variety;
-/// each defines a function the QueryQual phase can target.
+/// Distinct sources so the memo and dedup see real variety; each
+/// defines a function the QueryQual phase can target.
 const SOURCES: [&str; 6] = [
     "int leaf(const char *s) { return *s; }\n\
      int mid(char *p) { return leaf(p); }\n",
@@ -234,23 +234,15 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
 
     let dir = TempDir::new("soak");
     let socket = dir.path("d.sock");
-    let cache = dir.path("cache");
-    let cache_arg = cache.to_str().unwrap().to_owned();
 
     // ---- Phase 1: clean daemon, baseline frames, clean drain --------
-    let daemon_a = Daemon::spawn(
-        "soak-baseline",
-        &socket,
-        &["--cache-dir", &cache_arg],
-        &[],
-    );
+    let daemon_a = Daemon::spawn("soak-baseline", &socket, &[], &[]);
     let conn = Connect::new(socket.clone());
     let baselines: Vec<Baseline> = SOURCES
         .iter()
         .map(|src| {
-            // First pass populates the QINC cache; the second is the
-            // cache-warm steady state (every unit reused) that phase 3
-            // must reproduce — including the reused/analyzed counters.
+            // Two fresh analyses of one source must agree; the second
+            // is the report phase 3 must reproduce.
             let cold = serve::request_reanalyze(&conn, &analyze_req(src))
                 .expect("clean cold analysis");
             assert!(cold.counts.is_some(), "baseline failed to count");
@@ -267,10 +259,11 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
     daemon_a.drain();
 
     // ---- Phase 2: env-faulted daemon, the mixed-request soak --------
-    // The machines are seeded into ranges where each one actually
-    // bites: the disk budget fills after tens of replies/stores, the fd
-    // table caps below the client concurrency, and the allocator
-    // watermark quarantines after hundreds of unit charges. Every
+    // The machines are seeded into ranges where the disk and fd ones
+    // bite: the disk budget fills after tens of replies (charged at
+    // `proto.write`), and the fd table caps below the client
+    // concurrency. The allocator watermark is charged 1 MiB per
+    // analyzed request and refuses requests once it fills. Every
     // machine garbage-collects after a short denial streak, so the
     // faults clear on their own — that recovery is what phase 3 pins.
     // One explicit rule guarantees the EMFILE accept path runs even if
@@ -293,8 +286,6 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
         "soak-faulted",
         &socket,
         &[
-            "--cache-dir",
-            &cache_arg,
             "--max-inflight",
             "2",
             "--memory-budget-mb",
@@ -328,7 +319,7 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
                     let started = Instant::now();
                     let outcome: Result<(), ClientError> = match roll % 10 {
                         // 50% Analyze (mostly memo-warm), 20% Reanalyze
-                        // (forces the session + cache), then queries,
+                        // (forces a fresh analysis), then queries,
                         // explains, and stats probes.
                         0..=4 => serve::request_analyze(&conn, &analyze_req(src))
                             .map(|_| ()),
@@ -377,7 +368,7 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
     // ---- Phase 3: faults cleared, byte-identical recovery -----------
     // The machines heal after bounded denial streaks; a few Reanalyze
     // rounds per source flush any faulted report out of the memo and
-    // the resident session. Once one clean round matches the baseline,
+    // the resident report. Once one clean round matches the baseline,
     // the *very next* Analyze must match too (the memo healed), and so
     // must the resident explain text.
     let conn = Connect::new(socket.clone());
