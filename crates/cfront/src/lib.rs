@@ -25,9 +25,11 @@
 
 pub mod ast;
 pub mod error;
+pub mod fxhash;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod scope;
 pub mod sema;
 pub mod types;
 

@@ -6,13 +6,14 @@
 //! the paper's §4.2 ("we treat typedefs as macro-expansions"): the
 //! recorded AST contains only structural types.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{
     AssignOp, BinOp, Block, Expr, ExprKind, FnDef, Item, Program, Stmt, Storage, SwitchArm,
     UnOp,
 };
 use crate::error::CError;
+use crate::fxhash::FxHashMap;
 use crate::lexer::{lex, Span, SpannedTok, Tok};
 use crate::types::{CTy, CTyKind, FnTy, Scalar};
 
@@ -59,7 +60,7 @@ pub fn parse_with_recovery(src: &str) -> RecoveredParse {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
-    typedefs: HashMap<String, CTy>,
+    typedefs: FxHashMap<String, CTy>,
     next_expr_id: u32,
     anon_counter: u32,
     /// Items emitted out of line (struct/enum definitions found inside
@@ -116,7 +117,7 @@ impl Parser {
         Parser {
             toks,
             pos: 0,
-            typedefs: HashMap::new(),
+            typedefs: FxHashMap::default(),
             next_expr_id: 0,
             anon_counter: 0,
             items: Vec::new(),
@@ -554,7 +555,7 @@ impl Parser {
         }
         Ok(CTy {
             is_const: false,
-            kind: CTyKind::Struct(name),
+            kind: CTyKind::Struct(name.into()),
         })
     }
 
@@ -614,17 +615,17 @@ impl Parser {
             ty = match op {
                 DeclOp::Ptr { is_const } => CTy {
                     is_const,
-                    kind: CTyKind::Ptr(Box::new(ty)),
+                    kind: CTyKind::Ptr(Arc::new(ty)),
                 },
                 DeclOp::Array(n) => CTy {
                     is_const: false,
-                    kind: CTyKind::Array(Box::new(ty), n),
+                    kind: CTyKind::Array(Arc::new(ty), n),
                 },
                 DeclOp::Func(params, varargs) => {
                     self.last_param_names = params.iter().map(|(n, _)| n.clone()).collect();
                     CTy {
                         is_const: false,
-                        kind: CTyKind::Func(Box::new(FnTy {
+                        kind: CTyKind::Func(Arc::new(FnTy {
                             ret: ty,
                             params: params.into_iter().map(|(_, t)| t).collect(),
                             varargs,
@@ -1115,37 +1116,18 @@ impl Parser {
         }
     }
 
-    fn binop_at(&self, level: u8) -> Option<BinOp> {
-        let op = match (level, self.peek()) {
-            (0, Tok::PipePipe) => BinOp::Or,
-            (1, Tok::AmpAmp) => BinOp::And,
-            (2, Tok::Pipe) => BinOp::BitOr,
-            (3, Tok::Caret) => BinOp::BitXor,
-            (4, Tok::Amp) => BinOp::BitAnd,
-            (5, Tok::EqEq) => BinOp::Eq,
-            (5, Tok::NotEq) => BinOp::Ne,
-            (6, Tok::Lt) => BinOp::Lt,
-            (6, Tok::Gt) => BinOp::Gt,
-            (6, Tok::Le) => BinOp::Le,
-            (6, Tok::Ge) => BinOp::Ge,
-            (7, Tok::Shl) => BinOp::Shl,
-            (7, Tok::Shr) => BinOp::Shr,
-            (8, Tok::Plus) => BinOp::Add,
-            (8, Tok::Minus) => BinOp::Sub,
-            (9, Tok::Star) => BinOp::Mul,
-            (9, Tok::Slash) => BinOp::Div,
-            (9, Tok::Percent) => BinOp::Rem,
-            _ => return None,
-        };
-        Some(op)
-    }
-
-    fn binary_expr(&mut self, level: u8) -> Result<Expr, CError> {
-        if level > 9 {
-            return self.unary_expr();
-        }
-        let mut lhs = self.binary_expr(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
+    /// Binary operators at or above precedence `min_level` (0 is `||`,
+    /// 9 is `*`), by precedence climbing: each operand is parsed once,
+    /// and a tighter operator to its right recurses one level up. All
+    /// ten levels are left-associative, and every node is made after its
+    /// operands, so ids come out in post-order as with one recursive
+    /// function per level.
+    fn binary_expr(&mut self, min_level: u8) -> Result<Expr, CError> {
+        let mut lhs = self.unary_expr()?;
+        while let Some((op, level)) = binop(self.peek()) {
+            if level < min_level {
+                break;
+            }
             self.bump();
             let rhs = self.binary_expr(level + 1)?;
             let span = lhs.span.to(rhs.span);
@@ -1316,6 +1298,32 @@ impl Parser {
             )),
         }
     }
+}
+
+/// The binary operator `t` spells and its precedence level, from `||`
+/// (0) to the multiplicative operators (9).
+fn binop(t: &Tok) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::PipePipe => (BinOp::Or, 0),
+        Tok::AmpAmp => (BinOp::And, 1),
+        Tok::Pipe => (BinOp::BitOr, 2),
+        Tok::Caret => (BinOp::BitXor, 3),
+        Tok::Amp => (BinOp::BitAnd, 4),
+        Tok::EqEq => (BinOp::Eq, 5),
+        Tok::NotEq => (BinOp::Ne, 5),
+        Tok::Lt => (BinOp::Lt, 6),
+        Tok::Gt => (BinOp::Gt, 6),
+        Tok::Le => (BinOp::Le, 6),
+        Tok::Ge => (BinOp::Ge, 6),
+        Tok::Shl => (BinOp::Shl, 7),
+        Tok::Shr => (BinOp::Shr, 7),
+        Tok::Plus => (BinOp::Add, 8),
+        Tok::Minus => (BinOp::Sub, 8),
+        Tok::Star => (BinOp::Mul, 9),
+        Tok::Slash => (BinOp::Div, 9),
+        Tok::Percent => (BinOp::Rem, 9),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1593,6 +1601,68 @@ mod tests {
         assert_eq!(r.errors.len(), 1);
         // The broken item's `1` keeps its id; `y` is the next one.
         assert_eq!(r.program.expr_ids, 2);
+    }
+
+    /// The returned expression of `f`, fully parenthesized with each
+    /// operator's name, and its ids in post-order.
+    fn returned_shape(p: &Program) -> (String, Vec<u32>) {
+        fn shape(e: &Expr, ids: &mut Vec<u32>) -> String {
+            let s = match &e.kind {
+                ExprKind::Ident(n) => n.clone(),
+                ExprKind::Binary(op, a, b) => {
+                    let a = shape(a, ids);
+                    let b = shape(b, ids);
+                    format!("({a} {op:?} {b})")
+                }
+                other => panic!("unexpected {other:?}"),
+            };
+            ids.push(e.id);
+            s
+        }
+        let f = p.function("f").expect("f is defined");
+        let Stmt::Return(Some(e), _) = &f.body.stmts[0] else {
+            panic!("expected a return");
+        };
+        let mut ids = Vec::new();
+        (shape(e, &mut ids), ids)
+    }
+
+    #[test]
+    fn binary_precedence_associativity_and_post_order_ids() {
+        let cases = [
+            // One operator of each of the ten levels, loosest first, so
+            // each binds tighter than the one to its left.
+            (
+                "a || b && c | d ^ e & g == h < i << j + k * l",
+                "(a Or (b And (c BitOr (d BitXor (e BitAnd (g Eq (h Lt (i Shl (j Add (k Mul l))))))))))",
+            ),
+            // The same levels tightest first: every operator takes the
+            // whole tree to its left.
+            (
+                "a * b + c << d < e == g & h ^ i | j && k || l",
+                "((((((((((a Mul b) Add c) Shl d) Lt e) Eq g) BitAnd h) BitXor i) BitOr j) And k) Or l)",
+            ),
+            // A loose operator after a tight one climbs back down.
+            ("a == b + c * d - e || g", "((a Eq ((b Add (c Mul d)) Sub e)) Or g)"),
+            // Left-associative chains within one level.
+            ("a - b - c", "((a Sub b) Sub c)"),
+            ("a / b % c", "((a Div b) Rem c)"),
+            ("a << b >> c", "((a Shl b) Shr c)"),
+            ("a < b >= c != d == e", "((((a Lt b) Ge c) Ne d) Eq e)"),
+        ];
+        for (src, want) in cases {
+            let p = ok(&format!(
+                "int f(int a, int b, int c, int d, int e, int g, int h, int i, int j, int k, int l) \
+                 {{ return {src}; }}"
+            ));
+            let (got, ids) = returned_shape(&p);
+            assert_eq!(got, want, "{src}");
+            // The expression is the program's only one: its ids are
+            // every id handed out, in post-order.
+            let n = u32::try_from(ids.len()).unwrap();
+            assert_eq!(ids, (0..n).collect::<Vec<u32>>(), "{src}");
+            assert_eq!(p.expr_ids, n, "{src}");
+        }
     }
 
     #[test]

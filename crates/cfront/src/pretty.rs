@@ -8,6 +8,7 @@
 //! the same result) is tested in the constinfer crate.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::ast::{
     AssignOp, BinOp, Block, Expr, ExprKind, FnDef, Item, Program, Stmt, Storage, UnOp,
@@ -151,7 +152,7 @@ fn render_item(item: &Item, out: &mut String) {
             out.push_str(storage_str(*storage));
             let fty = CTy {
                 is_const: false,
-                kind: CTyKind::Func(Box::new(sig.clone())),
+                kind: CTyKind::Func(Arc::new(sig.clone())),
             };
             out.push_str(&render_decl(&fty, name));
             out.push_str(";\n");
@@ -489,14 +490,14 @@ mod tests {
         assert_eq!(render_decl(&t, "argv"), "char **argv");
         let arr = CTy {
             is_const: false,
-            kind: CTyKind::Array(Box::new(CTy::char_()), Some(16)),
+            kind: CTyKind::Array(Arc::new(CTy::char_()), Some(16)),
         };
         assert_eq!(render_decl(&arr, "buf"), "char buf[16]");
         let fp = CTy {
             is_const: false,
-            kind: CTyKind::Ptr(Box::new(CTy {
+            kind: CTyKind::Ptr(Arc::new(CTy {
                 is_const: false,
-                kind: CTyKind::Func(Box::new(FnTy {
+                kind: CTyKind::Func(Arc::new(FnTy {
                     ret: CTy::int(),
                     params: vec![CTy::scalar(Scalar::Int)],
                     varargs: false,

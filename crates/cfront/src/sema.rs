@@ -8,23 +8,26 @@
 //! strict about the things qualifier inference needs: every identifier
 //! must resolve and member accesses must name real struct fields.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{
     BinOp, Block, Expr, ExprKind, FnDef, Item, Program, Stmt, UnOp,
 };
 use crate::error::CError;
+use crate::fxhash::FxHashMap;
+use crate::scope::Scopes;
 use crate::types::{CTy, CTyKind, FnTy, Scalar};
 
-/// What an identifier refers to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What an identifier refers to. The name is the identifier's own
+/// ([`ExprKind::Ident`]), so no variant repeats it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
     /// A local variable or parameter of the enclosing function.
     Local,
     /// A global variable.
-    Global(String),
+    Global,
     /// A defined or declared function.
-    Function(String),
+    Function,
     /// An enum constant with its value.
     EnumConst(i64),
 }
@@ -46,16 +49,17 @@ pub struct Sema {
     /// What each identifier expression resolved to.
     pub resolution: Vec<Option<Resolution>>,
     /// Struct tag → fields.
-    pub structs: HashMap<String, Vec<(String, CTy)>>,
-    /// Every function signature in the program (defined and declared).
-    pub signatures: HashMap<String, FnTy>,
+    pub structs: FxHashMap<String, Vec<(String, CTy)>>,
+    /// Every function signature in the program (defined and declared),
+    /// shared with the function types of the identifiers that name it.
+    pub signatures: FxHashMap<String, Arc<FnTy>>,
     /// Each *defined* function's name → the index in [`Program::items`]
     /// of its definition (the rest are library functions; the analysis
     /// treats their unannotated pointer parameters as conservatively
     /// non-const, §4.2). A name defined twice is a failure of that name.
-    pub defined: HashMap<String, usize>,
+    pub defined: FxHashMap<String, usize>,
     /// Global variable types.
-    pub globals: HashMap<String, CTy>,
+    pub globals: FxHashMap<String, CTy>,
     /// The indices in [`Program::items`] of the global variables, in
     /// item order.
     pub global_items: Vec<usize>,
@@ -131,9 +135,10 @@ impl Sema {
     }
 }
 
-/// Pass 1: collect type-level and signature-level information. This
-/// pass is total — a malformed body cannot fail it.
-fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
+/// Pass 1: collect type-level and signature-level information, and the
+/// enum constants by name. This pass is total — a malformed body cannot
+/// fail it.
+fn collect_decls(prog: &Program) -> (Sema, FxHashMap<&str, i64>) {
     let n = prog.expr_ids as usize;
     let mut sema = Sema {
         expr_ty: vec![None; n],
@@ -141,7 +146,7 @@ fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
         resolution: vec![None; n],
         ..Sema::default()
     };
-    let mut enum_consts: HashMap<String, i64> = HashMap::new();
+    let mut enum_consts = FxHashMap::default();
     for (i, item) in prog.items.iter().enumerate() {
         match item {
             Item::StructDef { name, fields, .. } => {
@@ -149,7 +154,7 @@ fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
             }
             Item::EnumDef { consts, .. } => {
                 for (n, v) in consts {
-                    enum_consts.insert(n.clone(), *v);
+                    enum_consts.insert(n.as_str(), *v);
                 }
             }
             Item::Global { name, ty, .. } => {
@@ -157,11 +162,13 @@ fn collect_decls(prog: &Program) -> (Sema, HashMap<String, i64>) {
                 sema.global_items.push(i);
             }
             Item::Func(f) => {
-                sema.signatures.insert(f.name.clone(), f.sig());
+                sema.signatures.insert(f.name.clone(), Arc::new(f.sig()));
                 sema.defined.entry(f.name.clone()).or_insert(i);
             }
             Item::Proto { name, sig, .. } => {
-                sema.signatures.entry(name.clone()).or_insert(sig.clone());
+                sema.signatures
+                    .entry(name.clone())
+                    .or_insert_with(|| Arc::new(sig.clone()));
             }
             Item::Typedef { .. } => {}
         }
@@ -180,16 +187,12 @@ pub fn analyze(prog: &Program) -> Result<Sema, CError> {
     let (mut sema, enum_consts) = collect_decls(prog);
 
     // Pass 2: type every function body and global initializer.
-    let mut cx = Cx {
-        sema: &mut sema,
-        enum_consts: &enum_consts,
-        scopes: Vec::new(),
-    };
+    let mut cx = Cx::new(&mut sema, &enum_consts);
     for (i, item) in prog.items.iter().enumerate() {
         match item {
             Item::Func(f) => cx.check_def(i, f)?,
             Item::Global { init: Some(e), .. } => {
-                cx.scopes.clear();
+                cx.scopes.reset();
                 cx.expr(e)?;
             }
             _ => {}
@@ -226,11 +229,7 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
     let mut failed_functions = Vec::new();
     let mut failed_globals = Vec::new();
 
-    let mut cx = Cx {
-        sema: &mut sema,
-        enum_consts: &enum_consts,
-        scopes: Vec::new(),
-    };
+    let mut cx = Cx::new(&mut sema, &enum_consts);
     for (i, item) in prog.items.iter().enumerate() {
         match item {
             Item::Func(f) => {
@@ -243,7 +242,7 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
                 init: Some(e),
                 ..
             } => {
-                cx.scopes.clear();
+                cx.scopes.reset();
                 if let Err(e) = cx.expr(e) {
                     failed_globals.push((name.clone(), e));
                 }
@@ -263,16 +262,29 @@ pub fn analyze_with_recovery(prog: &Program) -> RecoveredSema {
     }
 }
 
-struct Cx<'a> {
+/// The pass-2 walker over a program borrowed for `'p`.
+struct Cx<'a, 'p> {
     sema: &'a mut Sema,
-    enum_consts: &'a HashMap<String, i64>,
-    scopes: Vec<HashMap<String, CTy>>,
+    enum_consts: &'a FxHashMap<&'p str, i64>,
+    /// The types of the locals in scope.
+    scopes: Scopes<'p, CTy>,
+    /// The type of every string literal, made once.
+    str_ty: CTy,
 }
 
-impl Cx<'_> {
+impl<'a, 'p> Cx<'a, 'p> {
+    fn new(sema: &'a mut Sema, enum_consts: &'a FxHashMap<&'p str, i64>) -> Self {
+        Cx {
+            sema,
+            enum_consts,
+            scopes: Scopes::default(),
+            str_ty: CTy::char_().ptr_to(),
+        }
+    }
+
     /// Checks the definition `f` at item `i`. A second definition of a
     /// name fails: which body a call means would be ambiguous.
-    fn check_def(&mut self, i: usize, f: &FnDef) -> Result<(), CError> {
+    fn check_def(&mut self, i: usize, f: &'p FnDef) -> Result<(), CError> {
         if self.sema.defined.get(&f.name) != Some(&i) {
             return Err(CError::at(
                 f.span,
@@ -282,37 +294,31 @@ impl Cx<'_> {
         self.check_fn(f)
     }
 
-    fn check_fn(&mut self, f: &FnDef) -> Result<(), CError> {
-        self.scopes.clear();
-        let mut top = HashMap::new();
+    fn check_fn(&mut self, f: &'p FnDef) -> Result<(), CError> {
+        self.scopes.reset();
+        self.scopes.open();
         for (name, ty) in &f.params {
-            top.insert(name.clone(), ty.decayed());
+            self.scopes.declare(name, ty.decayed());
         }
-        self.scopes.push(top);
-        self.block(&f.body)?;
-        self.scopes.pop();
-        Ok(())
+        self.block(&f.body)
     }
 
-    fn block(&mut self, b: &Block) -> Result<(), CError> {
-        self.scopes.push(HashMap::new());
+    fn block(&mut self, b: &'p Block) -> Result<(), CError> {
+        self.scopes.open();
         for s in &b.stmts {
             self.stmt(s)?;
         }
-        self.scopes.pop();
+        self.scopes.close();
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), CError> {
+    fn stmt(&mut self, s: &'p Stmt) -> Result<(), CError> {
         match s {
             Stmt::Decl { name, ty, init, .. } => {
                 if let Some(e) = init {
                     self.expr(e)?;
                 }
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack nonempty")
-                    .insert(name.clone(), ty.clone());
+                self.scopes.declare(name, ty.clone());
                 Ok(())
             }
             Stmt::Expr(e) => self.expr(e).map(|_| ()),
@@ -334,7 +340,7 @@ impl Cx<'_> {
                 step,
                 body,
             } => {
-                self.scopes.push(HashMap::new());
+                self.scopes.open();
                 if let Some(s) = init {
                     self.stmt(s)?;
                 }
@@ -345,7 +351,7 @@ impl Cx<'_> {
                     self.expr(e)?;
                 }
                 self.block(body)?;
-                self.scopes.pop();
+                self.scopes.close();
                 Ok(())
             }
             Stmt::Switch { cond, arms } => {
@@ -368,10 +374,6 @@ impl Cx<'_> {
         }
     }
 
-    fn lookup_local(&self, name: &str) -> Option<&CTy> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
     fn record(&mut self, e: &Expr, ty: CTy, lvalue: bool) {
         let i = e.id as usize;
         self.sema.reserve_id(i);
@@ -392,7 +394,7 @@ impl Cx<'_> {
                 format!("member access on non-struct type `{ty}`"),
             ));
         };
-        let fields = self.sema.structs.get(tag).ok_or_else(|| {
+        let fields = self.sema.structs.get(&**tag).ok_or_else(|| {
             CError::at(e.span, format!("unknown struct `{tag}`"))
         })?;
         fields
@@ -416,26 +418,26 @@ impl Cx<'_> {
                 // C90 string literals have type char[] (writable), which
                 // keeps correct-but-crusty programs type-correct; the
                 // qualifier analysis decides constness separately.
-                (CTy::char_().ptr_to(), false)
+                (self.str_ty.clone(), false)
             }
             ExprKind::Ident(name) => {
-                if let Some(ty) = self.lookup_local(name) {
+                if let Some(ty) = self.scopes.get(name) {
                     let ty = ty.clone();
                     self.resolve(e, Resolution::Local);
                     (ty, true)
                 } else if let Some(ty) = self.sema.globals.get(name) {
                     let ty = ty.clone();
-                    self.resolve(e, Resolution::Global(name.clone()));
+                    self.resolve(e, Resolution::Global);
                     (ty, true)
-                } else if let Some(&v) = self.enum_consts.get(name) {
+                } else if let Some(&v) = self.enum_consts.get(name.as_str()) {
                     self.resolve(e, Resolution::EnumConst(v));
                     (CTy::int(), false)
                 } else if let Some(sig) = self.sema.signatures.get(name) {
                     let ty = CTy {
                         is_const: false,
-                        kind: CTyKind::Func(Box::new(sig.clone())),
+                        kind: CTyKind::Func(Arc::clone(sig)),
                     };
-                    self.resolve(e, Resolution::Function(name.clone()));
+                    self.resolve(e, Resolution::Function);
                     (ty, false)
                 } else {
                     return Err(CError::at(
@@ -493,33 +495,33 @@ impl Cx<'_> {
                     self.expr(a)?;
                 }
                 let ret = match &callee.kind {
-                    ExprKind::Ident(name) if self.lookup_local(name).is_none()
+                    ExprKind::Ident(name) if self.scopes.get(name).is_none()
                         && !self.sema.globals.contains_key(name) =>
                     {
                         // Function call by name; implicit declaration if
                         // unknown (§4.2's conservative library treatment).
                         let sig = match self.sema.signatures.get(name) {
-                            Some(s) => s.clone(),
+                            Some(s) => Arc::clone(s),
                             None => {
-                                let sig = FnTy {
+                                let sig = Arc::new(FnTy {
                                     ret: CTy::int(),
                                     params: Vec::new(),
                                     varargs: true,
-                                };
+                                });
                                 self.sema
                                     .signatures
-                                    .insert(name.clone(), sig.clone());
+                                    .insert(name.clone(), Arc::clone(&sig));
                                 self.sema.implicit_functions.push(name.clone());
                                 sig
                             }
                         };
-                        self.resolve(callee, Resolution::Function(name.clone()));
+                        self.resolve(callee, Resolution::Function);
                         let ret = sig.ret.clone();
                         self.record(
                             callee,
                             CTy {
                                 is_const: false,
-                                kind: CTyKind::Func(Box::new(sig)),
+                                kind: CTyKind::Func(sig),
                             },
                             false,
                         );
@@ -941,12 +943,42 @@ mod tests {
     }
 
     #[test]
+    fn locals_shadow_by_scope() {
+        // Each body indexes `p` where only the parameter is a pointer, so
+        // it types exactly when the `int p` that shadowed it is out of
+        // scope again.
+        for (src, types) in [
+            ("int f(char *p) { { int p = 0; } return p[0]; }", true),
+            ("int f(char *p) { { int p = 0; return p[0]; } }", false),
+            ("int f(char *p) { for (int p = 0; p; ) { } return p[0]; }", true),
+            ("int f(char *p) { for (int p = 0; p; ) { return p[0]; } return 0; }", false),
+            ("int f(char *p) { for (char *q = p; q; ) { int p = 0; } return p[0]; }", true),
+            // A redeclaration within one scope wins for the rest of it.
+            ("int f(char *p) { char *q = p; int q = 0; return q[0]; }", false),
+            ("int f(char *p) { int q = 0; char *q = p; return q[0]; }", true),
+        ] {
+            let p = parse(src).unwrap();
+            assert_eq!(analyze(&p).is_ok(), types, "{src}");
+        }
+        // A body that fails inside nested scopes leaves no binding behind
+        // for the next function.
+        let p = parse(
+            "int bad(void) { { int leak = 0; { return nope; } } }
+             int next(void) { return leak; }",
+        )
+        .unwrap();
+        let r = analyze_with_recovery(&p);
+        let failed: Vec<&str> = r.failed_functions.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(failed, ["bad", "next"]);
+    }
+
+    #[test]
     fn globals_resolve() {
         let (_, s) = analyzed("int g; int f(void) { g = 1; return g; }");
         assert!(s
             .resolution
             .iter()
             .flatten()
-            .any(|r| matches!(r, Resolution::Global(_))));
+            .any(|r| matches!(r, Resolution::Global)));
     }
 }

@@ -1,8 +1,14 @@
 //! C types for the subset front end, following the paper's §4.1 grammar
 //! `CTyp ::= Q int | Q ptr(CTyp)` generalized with arrays, functions and
 //! structs. Every type level carries a source `const` flag.
+//!
+//! Inner types, signatures and struct tags are shared behind [`Arc`]s:
+//! sema records a type for every expression and the engine reads them
+//! back, so cloning a type must cost a reference count, not a deep copy.
+//! `Arc` rather than `Rc`, because `--jobs` threads share one program.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Scalar base types (all analyzed alike; the distinctions only matter
 /// for parsing and pretty-printing).
@@ -64,14 +70,14 @@ pub enum CTyKind {
     /// A scalar.
     Scalar(Scalar),
     /// Pointer to a type.
-    Ptr(Box<CTy>),
+    Ptr(Arc<CTy>),
     /// Array with optional length (decays to pointer in r-positions).
-    Array(Box<CTy>, Option<u64>),
+    Array(Arc<CTy>, Option<u64>),
     /// A struct, referenced by name (fields live in the program table).
-    Struct(String),
+    Struct(Arc<str>),
     /// A function type (from declarators; used for prototypes and
     /// function pointers).
-    Func(Box<FnTy>),
+    Func(Arc<FnTy>),
 }
 
 impl CTy {
@@ -107,7 +113,7 @@ impl CTy {
     pub fn ptr_to(self) -> CTy {
         CTy {
             is_const: false,
-            kind: CTyKind::Ptr(Box::new(self)),
+            kind: CTyKind::Ptr(Arc::new(self)),
         }
     }
 
@@ -225,7 +231,7 @@ mod tests {
     fn array_decay() {
         let arr = CTy {
             is_const: false,
-            kind: CTyKind::Array(Box::new(CTy::char_()), Some(16)),
+            kind: CTyKind::Array(Arc::new(CTy::char_()), Some(16)),
         };
         assert_eq!(arr.to_string(), "array[16](char)");
         assert_eq!(arr.decayed().to_string(), "ptr(char)");

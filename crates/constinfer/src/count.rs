@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use qual_cfront::ast::{FnDef, Program};
+use qual_cfront::fxhash::FxHashMap;
 use qual_cfront::sema;
 use qual_cfront::{CError, CTy, CTyKind};
 use qual_lattice::QualSpace;
@@ -210,7 +211,7 @@ pub type Site<'a> = (&'a str, Option<usize>, usize, bool, Qual);
 pub(crate) fn sites<'a>(
     functions: impl Iterator<Item = &'a FnDef> + 'a,
     arena: &'a QcArena,
-    signatures: &'a HashMap<String, SigNodes>,
+    signatures: &'a FxHashMap<String, SigNodes>,
 ) -> impl Iterator<Item = Site<'a>> + 'a {
     functions
         .filter_map(move |f| Some((f, signatures.get(&f.name)?)))

@@ -1,11 +1,13 @@
 //! The const-inference engine (§4): constraint generation over C
 //! programs, in monomorphic or polymorphic (FDG-driven) mode.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use qual_cfront::ast::{
     Block, Expr, ExprKind, FnDef, Item, Program, Stmt, UnOp,
 };
+use qual_cfront::fxhash::{FxHashMap, FxHashSet};
+use qual_cfront::scope::Scopes;
 use qual_cfront::sema::{Resolution, Sema};
 use qual_cfront::{CTy, CTyKind};
 use qual_lattice::QualSpace;
@@ -83,7 +85,7 @@ pub struct Analysis {
     /// we keep the error side; a solver-step budget can also exhaust).
     pub solution: Result<Solution, SolveFailure>,
     /// Signature template nodes per defined function.
-    pub signatures: HashMap<String, SigNodes>,
+    pub signatures: FxHashMap<String, SigNodes>,
     /// Which mode ran.
     pub mode: Mode,
 }
@@ -218,9 +220,10 @@ pub fn run_budgeted(
 }
 
 /// Whole-program constraint generation: [`run_budgeted`] up to its
-/// solve.
+/// solve. The engine borrows the program for its whole run, so its
+/// scopes name locals by the declarations' own strings.
 fn generate<'a>(
-    prog: &Program,
+    prog: &'a Program,
     sema: &'a Sema,
     space: &QualSpace,
     mode: Mode,
@@ -407,7 +410,8 @@ impl SigScheme {
 /// serial driver ([`run_budgeted`]) runs one engine over the whole
 /// program; the incremental driver (`crate::summary`) runs a fresh
 /// engine per work unit and splices the canonicalized results, so
-/// the per-unit entry points below are crate-visible.
+/// the per-unit entry points below are crate-visible. `'a` is the
+/// lifetime of the program and of its [`Sema`].
 pub(crate) struct Engine<'a> {
     pub(crate) sema: &'a Sema,
     pub(crate) space: QualSpace,
@@ -417,15 +421,17 @@ pub(crate) struct Engine<'a> {
     pub(crate) supply: VarSupply,
     pub(crate) cs: ConstraintSet,
     pub(crate) structs: StructTable,
-    pub(crate) globals: HashMap<String, QcId>,
-    pub(crate) sigs: HashMap<String, SigNodes>,
+    pub(crate) globals: FxHashMap<String, QcId>,
+    pub(crate) sigs: FxHashMap<String, SigNodes>,
     /// Generalized signatures. A call instantiates its callee's scheme
     /// when there is one and links the template directly otherwise: a
     /// let-style SCC's members get theirs only after the SCC, and
     /// polymorphic recursion's rounds keep the previous round's.
-    pub(crate) schemes: HashMap<String, SigScheme>,
+    pub(crate) schemes: FxHashMap<String, SigScheme>,
     /// Scoped local cells of the function being analyzed.
-    locals: Vec<HashMap<String, QcId>>,
+    locals: Scopes<'a, QcId>,
+    /// The C type of every string literal, made once.
+    str_ty: CTy,
     current_ret: Option<QcId>,
     pub(crate) mode: Mode,
     /// Resource caps for this run.
@@ -434,12 +440,12 @@ pub(crate) struct Engine<'a> {
     fuel: u64,
     /// Functions excluded by fault isolation; calls to them get the
     /// conservative library treatment.
-    pub(crate) failed: HashSet<String>,
+    pub(crate) failed: FxHashSet<String>,
     /// Value nodes born from the literal `0` — C's null pointer
     /// constant, but only when it flows into pointer context (tracked
     /// so [`Self::flow`] can seed the pointer side; see
     /// [`Self::null_const_flow`]).
-    null_consts: HashSet<QcId>,
+    null_consts: FxHashSet<QcId>,
 }
 
 /// A canonical, alpha-renamed view of one scheme's captured constraints,
@@ -470,16 +476,17 @@ impl<'a> Engine<'a> {
             supply: VarSupply::new(),
             cs: ConstraintSet::new(),
             structs: StructTable::new(),
-            globals: HashMap::new(),
-            sigs: HashMap::new(),
-            schemes: HashMap::new(),
-            locals: Vec::new(),
+            globals: FxHashMap::default(),
+            sigs: FxHashMap::default(),
+            schemes: FxHashMap::default(),
+            locals: Scopes::default(),
+            str_ty: CTy::char_().ptr_to(),
             current_ret: None,
             mode,
             budgets,
             fuel: budgets.max_fn_work,
-            failed: HashSet::new(),
-            null_consts: HashSet::new(),
+            failed: FxHashSet::default(),
+            null_consts: FxHashSet::default(),
         }
     }
 
@@ -530,6 +537,7 @@ impl<'a> Engine<'a> {
                 let Some(&cell) = self.globals.get(name) else {
                     continue;
                 };
+                self.locals.reset();
                 self.fuel = self.budgets.max_fn_work;
                 let cs_mark = self.cs.len();
                 match self.expr(e) {
@@ -552,7 +560,7 @@ impl<'a> Engine<'a> {
 
     /// Analyzes one function monomorphically as its own fault unit: a
     /// failing body is rolled back, excluded, and reported.
-    pub(crate) fn analyze_mono_fn(&mut self, f: &FnDef, skipped: &mut Vec<Diagnostic>) {
+    pub(crate) fn analyze_mono_fn(&mut self, f: &'a FnDef, skipped: &mut Vec<Diagnostic>) {
         let cs_mark = self.cs.len();
         if let Err(d) = self.analyze_fn(f) {
             self.cs.truncate(cs_mark);
@@ -569,7 +577,7 @@ impl<'a> Engine<'a> {
         &mut self,
         names: &[&str],
         recursive: bool,
-        prog: &Program,
+        prog: &'a Program,
         options: Options,
         skipped: &mut Vec<Diagnostic>,
     ) {
@@ -594,7 +602,7 @@ impl<'a> Engine<'a> {
     fn generalize_round(
         &mut self,
         names: &[&str],
-        prog: &Program,
+        prog: &'a Program,
         options: Options,
     ) -> Result<(), Diagnostic> {
         let mark = self.supply.count();
@@ -642,7 +650,7 @@ impl<'a> Engine<'a> {
     fn polyrec_scc(
         &mut self,
         names: &[&str],
-        prog: &Program,
+        prog: &'a Program,
         options: Options,
     ) -> Result<(), Diagnostic> {
         const MAX_ROUNDS: usize = 8;
@@ -717,11 +725,10 @@ impl<'a> Engine<'a> {
         let Some(sig) = self.sigs.get(name).cloned() else {
             return;
         };
-        let declared = self.sema.signatures.get(name).cloned();
+        let declared = self.sema.signatures.get(name);
         for (i, pcell) in sig.params.iter().enumerate() {
             let value = self.contents_of(*pcell);
             let flags = declared
-                .as_ref()
                 .and_then(|s| s.params.get(i))
                 .map(pointee_const_flags)
                 .unwrap_or_default();
@@ -960,7 +967,9 @@ impl<'a> Engine<'a> {
         }
         let (qa, qb) = (self.arena.get(a).qual, self.arena.get(b).qual);
         self.cs.add_with(qa, qb, at);
-        if let (QcShape::Ref(ca), QcShape::Ref(cb)) = (self.arena.get(a).shape.clone(), self.arena.get(b).shape.clone()) { self.equate(ca, cb, at) }
+        if let Some((ca, cb)) = self.ref_contents(a, b) {
+            self.equate(ca, cb, at);
+        }
     }
 
     /// Structural equality (both flow directions, recursively).
@@ -970,7 +979,17 @@ impl<'a> Engine<'a> {
         }
         let (qa, qb) = (self.arena.get(a).qual, self.arena.get(b).qual);
         self.cs.add_eq(qa, qb, at);
-        if let (QcShape::Ref(ca), QcShape::Ref(cb)) = (self.arena.get(a).shape.clone(), self.arena.get(b).shape.clone()) { self.equate(ca, cb, at) }
+        if let Some((ca, cb)) = self.ref_contents(a, b) {
+            self.equate(ca, cb, at);
+        }
+    }
+
+    /// The contents of `a` and `b` when both are refs.
+    fn ref_contents(&self, a: QcId, b: QcId) -> Option<(QcId, QcId)> {
+        match (&self.arena.get(a).shape, &self.arena.get(b).shape) {
+            (QcShape::Ref(ca), QcShape::Ref(cb)) => Some((*ca, *cb)),
+            _ => None,
+        }
     }
 
     fn fresh_val(&mut self) -> QcId {
@@ -978,53 +997,43 @@ impl<'a> Engine<'a> {
         self.arena.mk(q, QcShape::Val)
     }
 
-    fn lookup_local(&self, name: &str) -> Option<QcId> {
-        self.locals.iter().rev().find_map(|s| s.get(name)).copied()
-    }
-
-    fn analyze_fn(&mut self, f: &FnDef) -> Result<(), Diagnostic> {
+    fn analyze_fn(&mut self, f: &'a FnDef) -> Result<(), Diagnostic> {
         // Chaos hook: an injected `Panic` here simulates an engine bug
         // mid-unit (the worker supervisor quarantines it); an injected
         // `Delay` simulates a slow unit (the deadline machinery reaps
         // it). Compiled to one relaxed load when no plan is installed.
         qual_faultpoint::maybe_panic("unit.solve");
         self.fuel = self.budgets.max_fn_work;
-        let sig = match self.sigs.get(&f.name) {
-            Some(s) => s.clone(),
-            None => {
-                return Err(Diagnostic::error(
-                    Phase::Infer,
-                    "missing signature template",
-                )
-                .with_span(f.span.lo, f.span.hi)
-                .with_function(f.name.clone()))
-            }
+        let Some(sig) = self.sigs.get(&f.name) else {
+            return Err(Diagnostic::error(
+                Phase::Infer,
+                "missing signature template",
+            )
+            .with_span(f.span.lo, f.span.hi)
+            .with_function(f.name.clone()));
         };
-        self.locals.clear();
-        let mut top = HashMap::new();
-        for ((name, _), cell) in f.params.iter().zip(sig.params.iter()) {
-            top.insert(name.clone(), *cell);
+        // A body that failed partway may have left scopes open.
+        self.locals.reset();
+        self.locals.open();
+        for ((name, _), cell) in f.params.iter().zip(&sig.params) {
+            self.locals.declare(name, *cell);
         }
-        self.locals.push(top);
         self.current_ret = Some(sig.ret);
         let r = self.block(&f.body);
         self.current_ret = None;
         r.map_err(|d| d.with_function(f.name.clone()))
     }
 
-    fn block(&mut self, b: &Block) -> Result<(), Diagnostic> {
-        self.locals.push(HashMap::new());
-        let r = (|| {
-            for s in &b.stmts {
-                self.stmt(s)?;
-            }
-            Ok(())
-        })();
-        self.locals.pop();
-        r
+    fn block(&mut self, b: &'a Block) -> Result<(), Diagnostic> {
+        self.locals.open();
+        for s in &b.stmts {
+            self.stmt(s)?;
+        }
+        self.locals.close();
+        Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), Diagnostic> {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), Diagnostic> {
         match s {
             Stmt::Decl { name, ty, init, .. } => {
                 let cell = self.translator().lvalue_of(ty);
@@ -1033,10 +1042,7 @@ impl<'a> Engine<'a> {
                     let contents = self.contents_of(cell);
                     self.flow(v.rty, contents, Self::prov(e, "initializer"));
                 }
-                self.locals
-                    .last_mut()
-                    .expect("scope stack nonempty")
-                    .insert(name.clone(), cell);
+                self.locals.declare(name, cell);
             }
             Stmt::Expr(e) => {
                 self.expr(e)?;
@@ -1058,21 +1064,18 @@ impl<'a> Engine<'a> {
                 step,
                 body,
             } => {
-                self.locals.push(HashMap::new());
-                let r = (|| {
-                    if let Some(s) = init {
-                        self.stmt(s)?;
-                    }
-                    if let Some(e) = cond {
-                        self.expr(e)?;
-                    }
-                    if let Some(e) = step {
-                        self.expr(e)?;
-                    }
-                    self.block(body)
-                })();
-                self.locals.pop();
-                r?;
+                self.locals.open();
+                if let Some(s) = init {
+                    self.stmt(s)?;
+                }
+                if let Some(e) = cond {
+                    self.expr(e)?;
+                }
+                if let Some(e) = step {
+                    self.expr(e)?;
+                }
+                self.block(body)?;
+                self.locals.close();
             }
             Stmt::Return(Some(e), _) => {
                 let v = self.expr(e)?;
@@ -1096,8 +1099,8 @@ impl<'a> Engine<'a> {
     /// The declared C type of `e`, as an error rather than a panic when
     /// sema never typed it (a fault-isolated body must not bring the
     /// engine down).
-    fn sema_ty(&self, e: &Expr) -> Result<CTy, Diagnostic> {
-        self.sema.ty_of(e.id).cloned().ok_or_else(|| {
+    fn sema_ty(&self, e: &Expr) -> Result<&'a CTy, Diagnostic> {
+        self.sema.ty_of(e.id).ok_or_else(|| {
             Diagnostic::error(Phase::Infer, "expression was never typed by sema")
                 .with_span(e.span.lo, e.span.hi)
         })
@@ -1122,13 +1125,13 @@ impl<'a> Engine<'a> {
                 // const lower bound: a correct-C program that passes a
                 // literal into an eventually-written position must stay
                 // satisfiable. The literal's cell is a fresh ref.
-                let ty = CTy::char_().ptr_to();
+                let ty = self.str_ty.clone();
                 let v = self.translator().rvalue_of(&ty);
                 EVal::rvalue(v)
             }
             ExprKind::Ident(name) => match self.sema.resolution_of(e.id) {
                 Some(Resolution::Local) => {
-                    let Some(cell) = self.lookup_local(name) else {
+                    let Some(&cell) = self.locals.get(name) else {
                         return Err(Diagnostic::error(
                             Phase::Infer,
                             format!("local `{name}` missing from engine scope"),
@@ -1142,11 +1145,11 @@ impl<'a> Engine<'a> {
                         rty,
                     }
                 }
-                Some(Resolution::Global(g)) => {
-                    let Some(&cell) = self.globals.get(g) else {
+                Some(Resolution::Global) => {
+                    let Some(&cell) = self.globals.get(name) else {
                         return Err(Diagnostic::error(
                             Phase::Infer,
-                            format!("global `{g}` missing from engine scope"),
+                            format!("global `{name}` missing from engine scope"),
                         )
                         .with_span(e.span.lo, e.span.hi));
                     };
@@ -1157,12 +1160,12 @@ impl<'a> Engine<'a> {
                         rty,
                     }
                 }
-                Some(Resolution::Function(fname)) => {
+                Some(Resolution::Function) => {
                     // A function name outside callee position: its
                     // address escapes; conservatively un-const its
                     // pointer parameters (anyone may call it with
                     // writable data expectations).
-                    if let Some(sig) = self.sigs.get(fname).cloned() {
+                    if let Some(sig) = self.sigs.get(name).cloned() {
                         for p in sig.params {
                             let contents = self.contents_of(p);
                             for node in self.arena.spine(contents) {
@@ -1193,7 +1196,7 @@ impl<'a> Engine<'a> {
                         Some(cell) => EVal::rvalue(cell),
                         None => {
                             let ty = self.sema_ty(e)?;
-                            let v = self.translator().rvalue_of(&ty);
+                            let v = self.translator().rvalue_of(ty);
                             EVal::rvalue(v)
                         }
                     },
@@ -1269,8 +1272,7 @@ impl<'a> Engine<'a> {
             ExprKind::Cast(ty, inner) => {
                 // Explicit casts lose any association (§4.2).
                 self.expr(inner)?;
-                let ty = ty.clone();
-                let v = self.translator().rvalue_of(&ty);
+                let v = self.translator().rvalue_of(ty);
                 EVal::rvalue(v)
             }
             ExprKind::Cond(c, t, f) => {
@@ -1317,7 +1319,7 @@ impl<'a> Engine<'a> {
             debug_assert!(
                 self.sema
                     .structs
-                    .get(&tag)
+                    .get(&*tag)
                     .is_none_or(|fs| fs.iter().all(|(n, _)| n != field)),
                 "{tag}.{field} was not declared before its body"
             );
@@ -1352,7 +1354,7 @@ impl<'a> Engine<'a> {
             .map(|a| self.expr(a))
             .collect::<Result<_, _>>()?;
         let fname = match (&callee.kind, self.sema.resolution_of(callee.id)) {
-            (ExprKind::Ident(n), Some(Resolution::Function(_)) | None) => Some(n.as_str()),
+            (ExprKind::Ident(n), Some(Resolution::Function) | None) => Some(n.as_str()),
             _ => None,
         };
         let Some(fname) = fname else {
@@ -1401,15 +1403,13 @@ impl<'a> Engine<'a> {
             // Library function (or one excluded by fault isolation):
             // parameters not declared const are conservatively
             // non-const (§4.2).
-            let declared = self.sema.signatures.get(fname).cloned();
+            let declared = self.sema.signatures.get(fname);
             for (i, av) in arg_vals.iter().enumerate() {
-                let declared_param = declared.as_ref().and_then(|s| s.params.get(i));
+                let declared_param = declared.and_then(|s| s.params.get(i));
                 self.constrain_library_arg(av.rty, declared_param, e);
             }
-            let ret_ty = declared
-                .as_ref()
-                .map_or_else(CTy::int, |s| s.ret.clone());
-            let v = self.translator().rvalue_of(&ret_ty.decayed());
+            let ret_ty = declared.map_or_else(CTy::int, |s| s.ret.decayed());
+            let v = self.translator().rvalue_of(&ret_ty);
             self.library_call_rules(fname, &arg_vals, v, e);
             Ok(EVal::rvalue(v))
         }
@@ -1478,6 +1478,27 @@ mod tests {
             sol.eval_greatest(q).has(&a.space, c),
             sol.eval_least(q).has(&a.space, c),
         )
+    }
+
+    #[test]
+    fn shadowed_locals_take_their_own_flows() {
+        // Each write goes through one `p` or `q`; whether it reaches the
+        // parameter depends only on which declaration is in scope.
+        let src = "void w(char *p) { { char *p = 0; } p[0] = 1; }
+                   void r(char *p) { { char *p = 0; p[0] = 1; } }
+                   void s(char *p) { for (char *p = 0; p; ) { p[0] = 1; } }
+                   void t(char *p) { for (char *q = p; q; ) { char *p = 0; q[0] = 1; } }
+                   void d(char *p, char *o) { char *q = o; char *q = p; q[0] = 1; }";
+        for mode in [Mode::Monomorphic, Mode::Polymorphic, Mode::PolymorphicRecursive] {
+            let a = analyze(src, mode);
+            let can = |f: &str, param: usize| param_level(&a, f, param, 0).0;
+            assert!(!can("w", 0), "{mode:?}: the write after the block is the parameter's");
+            assert!(can("r", 0), "{mode:?}: the write in the block is the local's");
+            assert!(can("s", 0), "{mode:?}: the write in the loop is the loop variable's");
+            assert!(!can("t", 0), "{mode:?}: `q` aliases the parameter");
+            assert!(!can("d", 0), "{mode:?}: the second `q` holds `p`");
+            assert!(can("d", 1), "{mode:?}: the first `q` is shadowed before the write");
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! functions; polymorphic inference analyzes them in reverse depth-first
 //! (topological) order, generalizing after each component.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use qual_cfront::ast::{Block, Expr, ExprKind, Item, Program, Stmt};
+use qual_cfront::fxhash::FxHashMap;
 
 /// The function dependence graph plus its SCC decomposition.
 #[derive(Debug)]
@@ -29,7 +30,7 @@ impl Fdg {
     #[must_use]
     pub fn build(prog: &Program) -> Fdg {
         let mut names = Vec::new();
-        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut index: FxHashMap<&str, usize> = FxHashMap::default();
         for item in &prog.items {
             if let Item::Func(f) = item {
                 index.insert(&f.name, names.len());

@@ -15,8 +15,9 @@
 //! subtyping rule for `ref` then gives exactly C's assignment
 //! compatibility for pointers to const.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
+use qual_cfront::fxhash::FxHashMap;
 use qual_cfront::{CTy, CTyKind};
 use qual_lattice::QualSpace;
 use qual_solve::{ConstraintSet, Provenance, QVar, Qual, VarSupply};
@@ -44,7 +45,8 @@ pub enum QcShape {
     Ref(QcId),
     /// A struct value; its fields are shared globally through the
     /// [`StructTable`] (§4.2: instances may differ only at top level).
-    Struct(String),
+    /// The tag is the C type's own, shared.
+    Struct(Arc<str>),
     /// A function value (signatures are tracked separately).
     Fun,
 }
@@ -151,7 +153,7 @@ impl QcArena {
 #[derive(Debug, Default)]
 pub struct StructTable {
     /// Per tag, the name and cell of each field declared so far.
-    fields: HashMap<String, Vec<(String, QcId)>>,
+    fields: FxHashMap<String, Vec<(String, QcId)>>,
 }
 
 impl StructTable {
@@ -167,7 +169,7 @@ impl StructTable {
     /// order.
     pub fn declare(
         &mut self,
-        structs: &HashMap<String, Vec<(String, CTy)>>,
+        structs: &FxHashMap<String, Vec<(String, CTy)>>,
         wanted: impl Fn(&str, &str) -> bool,
         tr: &mut Translator<'_>,
     ) {
@@ -350,7 +352,7 @@ mod tests {
         let (mut arena, mut supply, space, mut cs) = setup();
         let mut table = StructTable::new();
         let fields = vec![("x".to_owned(), CTy::int()), ("y".to_owned(), CTy::int())];
-        let structs = HashMap::from([("st".to_owned(), fields)]);
+        let structs: FxHashMap<_, _> = [("st".to_owned(), fields)].into_iter().collect();
         let mut tr = Translator {
             arena: &mut arena,
             supply: &mut supply,

@@ -12,6 +12,7 @@
 //! variables, so only the monomorphic result should be written back.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use qual_cfront::ast::{Item, Program};
 use qual_cfront::pretty::render_program;
@@ -65,7 +66,7 @@ fn with_consts(ty: &CTy, table: &ConstAble<'_>, func: &str, param: Option<usize>
                 }
                 CTy {
                     is_const: ty.is_const,
-                    kind: CTyKind::Ptr(Box::new(new_inner)),
+                    kind: CTyKind::Ptr(Arc::new(new_inner)),
                 }
             }
             CTyKind::Array(inner, n) => {
@@ -75,7 +76,7 @@ fn with_consts(ty: &CTy, table: &ConstAble<'_>, func: &str, param: Option<usize>
                 }
                 CTy {
                     is_const: ty.is_const,
-                    kind: CTyKind::Array(Box::new(new_inner), *n),
+                    kind: CTyKind::Array(Arc::new(new_inner), *n),
                 }
             }
             _ => ty.clone(),

@@ -54,7 +54,12 @@ pub struct TrackingAlloc;
 
 fn note_alloc(bytes: u64) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    // Most allocations set no new high: a plain load skips the locked
+    // read-modify-write then. Skipping is exact, because it happens only
+    // when `PEAK` already holds at least `live`.
+    if live > PEAK.load(Ordering::Relaxed) {
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
     if BUDGETS_ARMED.load(Ordering::Relaxed) > 0 {
         // Teardown-tolerant: a dead TLS slot just loses the count.
         let _ = THREAD_ALLOCATED.try_with(|c| c.set(c.get().wrapping_add(bytes)));
