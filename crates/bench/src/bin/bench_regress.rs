@@ -1,12 +1,13 @@
 //! `bench-regress` — the pinned performance-regression harness.
 //!
-//! Runs the Table-1 cgen profiles through both measurement paths (the
-//! serial certified bench and the incremental driver), writes two
-//! versioned bench documents — `BENCH_table2.json` and
-//! `BENCH_incr.json` — and compares each against the previous document
-//! at the same path before overwriting it:
+//! Runs the Table-1 cgen profiles through the engine (the certified
+//! Table-2 bench, and one row per pinned `--qual` set) and through a
+//! resident analysis server, writes three versioned bench documents —
+//! `BENCH_table2.json`, `BENCH_incr.json` and `BENCH_quals.json` — and
+//! compares each against the previous document at the same path before
+//! overwriting it:
 //!
-//! * **counts** (positions, constraints, solver steps, units —
+//! * **counts** (positions, constraints, solver steps —
 //!   everything hardware-independent) must match the baseline
 //!   **exactly**; any difference is drift and fails the run;
 //! * **timings** (fields ending `_ns`) only flag **regressions** beyond
@@ -20,7 +21,7 @@
 //! ```text
 //! bench-regress [--quick] [--reps N] [--lines N] [--profiles a,b]
 //!               [--out-dir DIR] [--baseline-dir DIR] [--tolerance PCT]
-//!               [--timings-warn-only] [--jobs N]
+//!               [--timings-warn-only]
 //! ```
 //!
 //! One timing check is an ordering, not a threshold, and holds even
@@ -40,7 +41,8 @@ use std::time::{Duration, Instant};
 
 use qual_bench::{bench_doc, compare_bench_docs, measure_certified, median_and_min, BenchDrift};
 use qual_cgen::bench_profiles;
-use qual_incr::{analyze_source_incremental, IncrConfig};
+use qual_constinfer::{analyze_source_with_options_in, Budgets, Mode, Options};
+use qual_lattice::QualSpace;
 use qual_obs::json::Json;
 use qual_obs::schema::validate_bench;
 
@@ -52,14 +54,13 @@ struct Args {
     baseline_dir: Option<PathBuf>,
     tolerance: f64,
     timings_warn_only: bool,
-    jobs: usize,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: bench-regress [--quick] [--reps N] [--lines N] [--profiles a,b]\n\
          \x20                    [--out-dir DIR] [--baseline-dir DIR]\n\
-         \x20                    [--tolerance PCT] [--timings-warn-only] [--jobs N]"
+         \x20                    [--tolerance PCT] [--timings-warn-only]"
     );
     ExitCode::from(4)
 }
@@ -73,7 +74,6 @@ fn main() -> ExitCode {
         baseline_dir: None,
         tolerance: 25.0,
         timings_warn_only: false,
-        jobs: 4,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -107,10 +107,6 @@ fn main() -> ExitCode {
                 _ => return usage(),
             },
             "--timings-warn-only" => args.timings_warn_only = true,
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => args.jobs = n,
-                _ => return usage(),
-            },
             _ => return usage(),
         }
     }
@@ -151,33 +147,17 @@ fn main() -> ExitCode {
     }
     let table2 = bench_doc("table2", args.reps, table2_rows);
 
-    // Pass 2: the incremental driver — cold serial, cold parallel
-    // (pinned job count, so the document is machine-portable) and a
-    // warm-cache rerun, with the driver's own counters as the
-    // hardware-independent proxies.
+    // Pass 2: the served engine. Each profile goes once through the
+    // engine in process, for the reference counts, and then through a
+    // resident analysis server.
     let mut incr_rows = Vec::new();
-    let cache_root = std::env::temp_dir()
+    let sock_root = std::env::temp_dir()
         .join(format!("bench-regress-{}", std::process::id()));
+    let _ = std::fs::create_dir_all(&sock_root);
     for p in &profiles {
         let src = qual_cgen::generate(p);
         let lines = src.lines().count();
-        let cache = cache_root.join(p.name);
-        let _ = std::fs::remove_dir_all(&cache);
-        let run = |cfg: &IncrConfig| {
-            qual_obs::scoped(|| analyze_source_incremental(&src, cfg))
-        };
-        let (cold1, r1) = run(&IncrConfig::default());
-        let (coldn, rn) = run(&IncrConfig {
-            jobs: args.jobs,
-            ..IncrConfig::default()
-        });
-        let cached = IncrConfig {
-            cache_dir: Some(cache.clone()),
-            ..IncrConfig::default()
-        };
-        let _ = analyze_source_incremental(&src, &cached);
-        let (warm, rw) = run(&cached);
-        let _ = std::fs::remove_dir_all(&cache);
+        let plain = analyze(&src, &QualSpace::const_only());
         // Served pass: the same corpus through a resident analysis
         // server (the `cquald` session, hosted in-process) over its
         // unix socket — a cold request into the fresh session, then
@@ -185,7 +165,7 @@ fn main() -> ExitCode {
         // roundtrip wall clocks bound the daemon's framing/dispatch
         // overhead; the served report must carry exactly the
         // in-process counts.
-        let sock = cache_root.join(format!("{}-serve.sock", p.name));
+        let sock = sock_root.join(format!("{}-serve.sock", p.name));
         let (serve_report, serve_cold_ns, serve_warm_ns) =
             match qual_incr::serve::serve(qual_incr::serve::ServeConfig::for_socket(
                 sock.clone(),
@@ -195,7 +175,7 @@ fn main() -> ExitCode {
                     let req = qual_incr::proto::AnalyzeReq {
                         version: qual_incr::proto::PROTO_VERSION,
                         src: src.clone(),
-                        mode: IncrConfig::default().mode,
+                        mode: Mode::Polymorphic,
                         quals: "const".to_owned(),
                         verify: false,
                         deadline_ms: None,
@@ -256,17 +236,10 @@ fn main() -> ExitCode {
                 }),
             None => None,
         };
-        if serve_report.is_none() || cold1.counts != served_counts {
+        let plain_counts = plain.result.as_ref().map(|r| r.counts);
+        if serve_report.is_none() || plain_counts != served_counts {
             eprintln!(
                 "bench-regress: `{}`: served counts differ from the in-process run",
-                p.name
-            );
-            bench_failed = true;
-            continue;
-        }
-        if cold1.counts != coldn.counts || cold1.counts != warm.counts {
-            eprintln!(
-                "bench-regress: `{}`: counts differ across serial/parallel/warm runs",
                 p.name
             );
             bench_failed = true;
@@ -283,28 +256,11 @@ fn main() -> ExitCode {
         incr_rows.push(Json::Obj(vec![
             ("name".to_owned(), Json::Str(p.name.to_owned())),
             ("lines".to_owned(), Json::num(lines as u64)),
-            ("units".to_owned(), Json::num(cold1.stats.units as u64)),
-            (
-                "wavefronts".to_owned(),
-                Json::num(cold1.stats.wavefronts as u64),
-            ),
-            (
-                "merged_constraints".to_owned(),
-                Json::num(cold1.stats.constraints as u64),
-            ),
-            ("warm_reused".to_owned(), Json::num(warm.stats.reused as u64)),
-            (
-                "warm_analyzed".to_owned(),
-                Json::num(warm.stats.analyzed as u64),
-            ),
-            ("cold1_ns".to_owned(), Json::num(r1.total_ns)),
-            ("coldn_ns".to_owned(), Json::num(rn.total_ns)),
-            ("warm_ns".to_owned(), Json::num(rw.total_ns)),
             ("serve_cold_ns".to_owned(), Json::num(serve_cold_ns)),
             ("serve_warm_ns".to_owned(), Json::num(serve_warm_ns)),
         ]));
     }
-    let _ = std::fs::remove_dir_all(&cache_root);
+    let _ = std::fs::remove_dir_all(&sock_root);
     let incr = bench_doc("incr", args.reps, incr_rows);
 
     // Pass 3: the qualifier-set matrix — every profile analyzed under
@@ -321,13 +277,8 @@ fn main() -> ExitCode {
         for set in QUAL_SETS {
             let space = qual_constinfer::space_for(set)
                 .expect("built-in qualifier sets");
-            let cfg = IncrConfig {
-                space,
-                ..IncrConfig::default()
-            };
-            let (out, rep) =
-                qual_obs::scoped(|| analyze_source_incremental(&src, &cfg));
-            let Some(counts) = out.counts else {
+            let (out, rep) = qual_obs::scoped(|| analyze(&src, &space));
+            let Some(r) = &out.result else {
                 eprintln!(
                     "bench-regress: `{}` under --qual {set} produced no counts",
                     p.name
@@ -341,14 +292,14 @@ fn main() -> ExitCode {
                     Json::Str(format!("{}@{set}", p.name)),
                 ),
                 ("coords".to_owned(), Json::num(rep.peak_value("solve.coords"))),
-                ("total".to_owned(), Json::num(counts.total as u64)),
-                ("inferred".to_owned(), Json::num(counts.inferred as u64)),
+                ("total".to_owned(), Json::num(r.counts.total as u64)),
+                ("inferred".to_owned(), Json::num(r.counts.inferred as u64)),
                 (
-                    "merged_constraints".to_owned(),
-                    Json::num(out.stats.constraints as u64),
+                    "constraints".to_owned(),
+                    Json::num(r.analysis.constraints.len() as u64),
                 ),
             ];
-            for qc in &out.qual_counts {
+            for qc in &r.qual_counts {
                 fields.push((format!("{}_may", qc.name), Json::num(qc.may as u64)));
                 fields.push((format!("{}_must", qc.name), Json::num(qc.must as u64)));
             }
@@ -409,6 +360,18 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// One poly engine run at default options and budgets: what plain
+/// `cqual --qual SET` runs.
+fn analyze(src: &str, space: &QualSpace) -> qual_constinfer::AnalysisOutcome {
+    analyze_source_with_options_in(
+        src,
+        space,
+        Mode::Polymorphic,
+        Options::default(),
+        Budgets::default(),
+    )
 }
 
 fn nanos(d: Duration) -> u64 {

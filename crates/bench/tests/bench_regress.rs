@@ -136,8 +136,6 @@ fn run_regress(out_dir: &Path) -> std::process::Output {
             "60",
             "--reps",
             "3",
-            "--jobs",
-            "2",
             "--timings-warn-only",
             "--out-dir",
         ])

@@ -14,8 +14,7 @@
 //! This module is the rule's only home. `sites` walks the positions
 //! (of a whole program for [`summarize`], of one unit's members for
 //! `summary::export`), and [`tally`] classifies and counts them against
-//! a solution, for [`summarize`] and for the incremental driver's merge
-//! alike.
+//! a solution.
 
 use std::collections::HashMap;
 
@@ -505,7 +504,7 @@ pub fn analyze_source_with_options_in(
     }
     skipped.extend(engine_skipped);
 
-    match &analysis.solution {
+    let outcome = match &analysis.solution {
         Err(failure) => {
             skipped.extend(failure_diagnostics(failure));
             AnalysisOutcome {
@@ -521,7 +520,32 @@ pub fn analyze_source_with_options_in(
             program,
             skipped,
         },
+    };
+    record_run_metrics(&outcome);
+    outcome
+}
+
+/// Records one run's results into the ambient metrics collector (a
+/// no-op without one). The `analysis.*` counters are what
+/// [`qual_obs::analysis_fingerprint`] keeps; the allocator gauges read
+/// zero unless the binary installs the tracking allocator shim.
+fn record_run_metrics(outcome: &AnalysisOutcome) {
+    qual_obs::count("analysis.diagnostics", outcome.skipped.len() as u64);
+    if let Some(r) = &outcome.result {
+        qual_obs::count("analysis.positions_total", r.counts.total as u64);
+        qual_obs::count("analysis.positions_declared", r.counts.declared as u64);
+        qual_obs::count("analysis.positions_inferred", r.counts.inferred as u64);
+        // The collector interns `&'static str` keys only, so the
+        // per-qualifier counter names come precomputed from the catalog.
+        for qc in &r.qual_counts {
+            if let Some(def) = crate::quals::catalog::builtin(&qc.name) {
+                qual_obs::count(def.counter_may, qc.may as u64);
+                qual_obs::count(def.counter_must, qc.must as u64);
+            }
+        }
     }
+    qual_obs::peak("mem.peak_bytes", qual_obs::mem::peak_bytes());
+    qual_obs::peak("mem.live_bytes", qual_obs::mem::live_bytes());
 }
 
 /// Counts positions for an existing analysis.

@@ -128,6 +128,14 @@ pub struct Budgets {
     /// nodes visited during constraint generation. Re-analysis rounds
     /// (polymorphic recursion) reset it per round.
     pub max_fn_work: u64,
+    /// Per-fault-unit cap on gross heap allocation, in bytes (`cqual
+    /// --memory-budget-mb`): each global initializer, monomorphic
+    /// function and polymorphic SCC arms it at its rollback mark, and a
+    /// unit that overruns it is rolled back and excluded like one that
+    /// blows its work budget. Measured by the
+    /// [`qual_obs::mem::TrackingAlloc`] shim, so it only bites in
+    /// binaries that install it. `None` arms nothing.
+    pub max_unit_bytes: Option<u64>,
 }
 
 impl Budgets {
@@ -138,6 +146,7 @@ impl Budgets {
             max_constraints: usize::MAX,
             max_solver_steps: u64::MAX,
             max_fn_work: u64::MAX,
+            max_unit_bytes: None,
         }
     }
 }
@@ -150,6 +159,7 @@ impl Default for Budgets {
             max_constraints: 4_000_000,
             max_solver_steps: 50_000_000,
             max_fn_work: 2_000_000,
+            max_unit_bytes: None,
         }
     }
 }
@@ -406,11 +416,10 @@ impl SigScheme {
     }
 }
 
-/// The constraint-generation engine over one constraint world. The
-/// serial driver ([`run_budgeted`]) runs one engine over the whole
-/// program; the incremental driver (`crate::summary`) runs a fresh
-/// engine per work unit and splices the canonicalized results, so
-/// the per-unit entry points below are crate-visible. `'a` is the
+/// The constraint-generation engine over one constraint world.
+/// [`run_budgeted`] runs one engine over the whole program; the unit
+/// replay in `crate::summary` runs a fresh engine per work unit, so the
+/// per-unit entry points below are crate-visible. `'a` is the
 /// lifetime of the program and of its [`Sema`].
 pub(crate) struct Engine<'a> {
     pub(crate) sema: &'a Sema,
@@ -540,6 +549,7 @@ impl<'a> Engine<'a> {
                 self.locals.reset();
                 self.fuel = self.budgets.max_fn_work;
                 let cs_mark = self.cs.len();
+                let _mem = self.arm_unit_memory();
                 match self.expr(e) {
                     Ok(v) => {
                         let contents = self.contents_of(cell);
@@ -562,6 +572,7 @@ impl<'a> Engine<'a> {
     /// failing body is rolled back, excluded, and reported.
     pub(crate) fn analyze_mono_fn(&mut self, f: &'a FnDef, skipped: &mut Vec<Diagnostic>) {
         let cs_mark = self.cs.len();
+        let _mem = self.arm_unit_memory();
         if let Err(d) = self.analyze_fn(f) {
             self.cs.truncate(cs_mark);
             self.exclude(&f.name);
@@ -582,6 +593,7 @@ impl<'a> Engine<'a> {
         skipped: &mut Vec<Diagnostic>,
     ) {
         let scc_cs_mark = self.cs.len();
+        let _mem = self.arm_unit_memory();
         if self.mode == Mode::PolymorphicRecursive && recursive {
             if let Err(d) = self.polyrec_scc(names, prog, options) {
                 self.fail_scc(names, scc_cs_mark, d, skipped);
@@ -591,6 +603,12 @@ impl<'a> Engine<'a> {
         if let Err(d) = self.generalize_round(names, prog, options) {
             self.fail_scc(names, scc_cs_mark, d, skipped);
         }
+    }
+
+    /// Arms [`Budgets::max_unit_bytes`] for one fault unit, until the
+    /// returned guard drops; [`Self::charge`] polls it.
+    fn arm_unit_memory(&self) -> Option<qual_obs::mem::UnitBudget> {
+        self.budgets.max_unit_bytes.map(qual_obs::mem::unit_budget)
     }
 
     /// Analyzes the SCC's bodies inside one window — templates first
@@ -999,9 +1017,10 @@ impl<'a> Engine<'a> {
 
     fn analyze_fn(&mut self, f: &'a FnDef) -> Result<(), Diagnostic> {
         // Chaos hook: an injected `Panic` here simulates an engine bug
-        // mid-unit (the worker supervisor quarantines it); an injected
-        // `Delay` simulates a slow unit (the deadline machinery reaps
-        // it). Compiled to one relaxed load when no plan is installed.
+        // mid-analysis (plain `cqual` dies with it; `cquald` confines it
+        // to its request, DESIGN.md §12); an injected `Delay` simulates
+        // a slow body (a request deadline reaps it). One relaxed load
+        // when no plan is installed.
         qual_faultpoint::maybe_panic("unit.solve");
         self.fuel = self.budgets.max_fn_work;
         let Some(sig) = self.sigs.get(&f.name) else {

@@ -92,10 +92,11 @@ impl Fdg {
     /// components with no dependencies, level `k+1` the components all
     /// of whose dependencies sit in levels `≤ k` with at least one at
     /// exactly `k`. Every component in one wavefront is independent of
-    /// every other, so a parallel driver may analyze a whole wavefront
+    /// every other, so a whole wavefront could be analyzed
     /// concurrently; wavefronts themselves run in order. Each inner
     /// vector lists SCC indices in ascending order, so the grouping is
-    /// deterministic given the program.
+    /// deterministic given the program. Only the benchmark harness's
+    /// replay of the removed unit driver calls it.
     #[must_use]
     pub fn wavefronts(&self) -> Vec<Vec<usize>> {
         let mut depth = vec![0usize; self.sccs.len()];
@@ -124,8 +125,8 @@ impl Fdg {
 
 /// The set of names mentioned anywhere in an expression — the same
 /// notion of "occurrence" the FDG's edges use (Definition 4). The
-/// incremental driver uses this to key the globals unit on the
-/// functions its initializers may reference.
+/// benchmark harness's unit replay keys the globals unit on the
+/// functions its initializers may reference with it.
 #[must_use]
 pub fn mentioned_names(e: &Expr) -> HashSet<String> {
     let mut out = HashSet::new();

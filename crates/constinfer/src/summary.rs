@@ -1,5 +1,7 @@
 //! Content-addressable per-unit analysis summaries — the engine side of
-//! the incremental, parallel driver (`qual-incr`).
+//! the unit driver that `qual-incr` used to run. No analysis venue runs
+//! units any more; the benchmark harness still replays them (DESIGN.md
+//! §11), so this module stays until it stops.
 //!
 //! A *unit* is one strongly-connected component of the FDG (or the
 //! special globals unit holding every global initializer). Each unit is
@@ -923,20 +925,11 @@ pub fn encode_summary(s: &UnitSummary) -> Vec<u8> {
 
 /// Deserializes a summary produced by [`encode_summary`].
 ///
-/// Fault point `wire.decode`: a `Garbage` fault hides the second half
-/// of `bytes`, simulating a torn payload that the decoder must reject
-/// with [`WireError`] — exactly the path real bit rot takes through the
-/// cache.
-///
 /// # Errors
 ///
 /// Returns [`WireError`] on truncated or malformed input — corruption
 /// is a recoverable condition, never a panic.
 pub fn decode_summary(bytes: &[u8]) -> Result<UnitSummary, WireError> {
-    let bytes = match qual_faultpoint::hit("wire.decode") {
-        Some(qual_faultpoint::FaultKind::Garbage) => &bytes[..bytes.len() / 2],
-        _ => bytes,
-    };
     let mut r = Reader::new(bytes);
     let members = get_strings(&mut r)?;
     let failed = get_strings(&mut r)?;

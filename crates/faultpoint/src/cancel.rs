@@ -1,18 +1,19 @@
 //! Cooperative per-thread deadlines.
 //!
-//! A worker thread installs a [`DeadlineGuard`] before analyzing a
-//! unit; the engine's per-expression work accounting and the solver's
-//! worklist loop poll [`expired`] at their natural step boundaries.
-//! When the wall clock passes the deadline the poll flips to `true`
-//! *sticky* — every later poll on that thread agrees — and the unit
-//! unwinds through the same structured fault-isolation paths a blown
-//! work budget takes: rolled back, excluded, reported. No thread is
-//! ever killed; a "hung" unit is one that stopped checking, and the
-//! checks sit inside every loop the analysis can spend time in.
+//! A `cquald` worker thread installs a [`DeadlineGuard`] before
+//! analyzing a request; the engine's per-expression work accounting and
+//! the solver's worklist loop poll [`expired`] at their natural step
+//! boundaries. When the wall clock passes the deadline the poll flips
+//! to `true` *sticky* — every later poll on that thread agrees — and
+//! the analysis unwinds through the same structured fault-isolation
+//! paths a blown work budget takes: rolled back, excluded, reported. No
+//! thread is ever killed; a "hung" analysis is one that stopped
+//! checking, and the checks sit inside every loop the analysis can
+//! spend time in.
 //!
-//! The token is thread-local on purpose: units are the isolation
-//! domain, one worker analyzes one unit at a time, and a thread-local
-//! costs no synchronization on the poll fast path.
+//! The token is thread-local on purpose: one worker analyzes one
+//! request at a time, and a thread-local costs no synchronization on
+//! the poll fast path.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};

@@ -1,23 +1,22 @@
 //! Deterministic fault injection and cooperative cancellation.
 //!
-//! Production-grade drivers are only as robust as the faults they have
-//! actually been exercised against. This crate provides the two
-//! primitives the chaos-hardened incremental driver builds on:
+//! A tool is only as robust as the faults it has actually been
+//! exercised against. This crate provides two primitives:
 //!
-//! * **Named fault points** ([`hit`]): call sites in the cache, the
-//!   wire codec, the engine, and the worker pool ask "should a fault
-//!   fire here?" and get back a [`FaultKind`] to act out — an I/O
-//!   error, a short write, decode garbage, a panic, or a delay. Which
-//!   points fire is driven by an installed [`FaultPlan`]: either an
-//!   explicit rule list (`cache.write@2=io;unit.solve@*=delay:10`) or
+//! * **Named fault points** ([`hit`]): call sites in the daemon, its
+//!   wire protocol, the engine and the metrics writer ask "should a
+//!   fault fire here?" and get back a [`FaultKind`] to act out — an
+//!   I/O error, a short write, garbage bytes, a panic, or a delay.
+//!   Which points fire is driven by an installed [`FaultPlan`]: either
+//!   an explicit rule list (`serve.write@2=io;unit.solve@*=delay:10`) or
 //!   a seeded pseudo-random schedule that is *fully deterministic* —
 //!   the same seed injects the same faults at the same hits, every
 //!   run, so every chaos failure reproduces.
 //! * **Cooperative cancellation** ([`cancel`]): a per-thread deadline
 //!   token that long-running loops (the engine's per-expression work
-//!   accounting, the solver's worklist) poll cheaply. A unit that
-//!   blows its wall-clock deadline unwinds through the existing
-//!   fault-isolation paths instead of hanging the run.
+//!   accounting, the solver's worklist) poll cheaply. A `cquald`
+//!   request that blows its wall-clock deadline unwinds through the
+//!   existing fault-isolation paths instead of hanging the daemon.
 //!
 //! When no plan is installed the whole machinery is a single relaxed
 //! atomic load per fault point — cheap enough to leave compiled into
@@ -150,7 +149,7 @@ impl EnvSpec {
 /// A deterministic injection schedule.
 ///
 /// Two flavors, freely combinable: explicit [rules](FaultPlan::parse)
-/// ("the 2nd `cache.write` fails with an I/O error") and a seeded
+/// ("the 2nd `metrics.write` fails with an I/O error") and a seeded
 /// pseudo-random schedule ("roughly `rate` per mille of all hits fault,
 /// derived from `seed`"). The seeded draw hashes `(seed, point, hit
 /// index)`, so it is independent of thread interleaving: the n-th hit
@@ -238,7 +237,7 @@ impl FaultPlan {
     ///         | 'disk-full' | 'fd-exhausted' | 'alloc-fail'
     /// ```
     ///
-    /// Example: `cache.write@2=io;unit.solve@*=delay:10;seed:7:100`, or
+    /// Example: `metrics.write@2=io;unit.solve@*=delay:10;seed:7:100`, or
     /// a 64 KiB disk that recovers after 8 denials: `disk:65536:8`.
     ///
     /// # Errors
@@ -666,28 +665,28 @@ mod tests {
     fn disabled_is_none() {
         let _g = test_lock();
         clear();
-        assert_eq!(hit("cache.read"), None);
+        assert_eq!(hit("proto.read"), None);
         assert_eq!(injected_count(), 0);
     }
 
     #[test]
     fn explicit_rule_fires_on_exact_hit() {
         let _g = test_lock();
-        install(FaultPlan::parse("cache.write@2=io").unwrap());
-        assert_eq!(hit("cache.write"), None);
-        assert_eq!(hit("cache.write"), Some(FaultKind::Io));
-        assert_eq!(hit("cache.write"), None);
-        assert_eq!(hit("cache.read"), None);
-        assert_eq!(injected(), vec![("cache.write".to_owned(), 2, FaultKind::Io)]);
+        install(FaultPlan::parse("metrics.write@2=io").unwrap());
+        assert_eq!(hit("metrics.write"), None);
+        assert_eq!(hit("metrics.write"), Some(FaultKind::Io));
+        assert_eq!(hit("metrics.write"), None);
+        assert_eq!(hit("proto.read"), None);
+        assert_eq!(injected(), vec![("metrics.write".to_owned(), 2, FaultKind::Io)]);
         clear();
     }
 
     #[test]
     fn wildcards_and_every_occurrence() {
         let _g = test_lock();
-        install(FaultPlan::parse("cache.*@*=garbage").unwrap());
-        assert_eq!(hit("cache.read"), Some(FaultKind::Garbage));
-        assert_eq!(hit("cache.write"), Some(FaultKind::Garbage));
+        install(FaultPlan::parse("serve.*@*=garbage").unwrap());
+        assert_eq!(hit("serve.read"), Some(FaultKind::Garbage));
+        assert_eq!(hit("serve.write"), Some(FaultKind::Garbage));
         assert_eq!(hit("unit.solve"), None);
         clear();
     }
@@ -700,7 +699,7 @@ mod tests {
         assert!(FaultPlan::parse("p@1=whatever").is_err());
         assert!(FaultPlan::parse("seed:notanumber").is_err());
         assert!(FaultPlan::parse("@1=io").is_err(), "empty point");
-        let ok = FaultPlan::parse(" cache.write@2=io ; unit.solve@*=delay:10 ").unwrap();
+        let ok = FaultPlan::parse(" metrics.write@2=io ; unit.solve@*=delay:10 ").unwrap();
         assert_eq!(ok.rules.len(), 2);
     }
 
@@ -739,18 +738,18 @@ mod tests {
         let _g = test_lock();
         install(FaultPlan::new().with_disk(100, Some(3)));
         // Fits, fits, then the budget is blown.
-        assert_eq!(charge_disk("cache.write", 60), None);
-        assert_eq!(charge_disk("cache.write", 40), None);
-        assert_eq!(charge_disk("cache.write", 1), Some(FaultKind::DiskFull));
-        assert_eq!(charge_disk("cache.write", 1), Some(FaultKind::DiskFull));
+        assert_eq!(charge_disk("metrics.write", 60), None);
+        assert_eq!(charge_disk("metrics.write", 40), None);
+        assert_eq!(charge_disk("metrics.write", 1), Some(FaultKind::DiskFull));
+        assert_eq!(charge_disk("metrics.write", 1), Some(FaultKind::DiskFull));
         let snap = env_snapshot();
         assert_eq!(snap.disk, (100, 2, 1), "one episode, two denials so far");
         // Third denial triggers the gc; the next charge succeeds.
-        assert_eq!(charge_disk("cache.write", 1), Some(FaultKind::DiskFull));
-        assert_eq!(charge_disk("cache.write", 50), None);
+        assert_eq!(charge_disk("metrics.write", 1), Some(FaultKind::DiskFull));
+        assert_eq!(charge_disk("metrics.write", 50), None);
         assert_eq!(env_snapshot().disk.2, 1, "recovery does not start an episode");
         // Refilling starts a second episode.
-        assert_eq!(charge_disk("cache.write", 60), Some(FaultKind::DiskFull));
+        assert_eq!(charge_disk("metrics.write", 60), Some(FaultKind::DiskFull));
         assert_eq!(env_snapshot().disk.2, 2);
         clear();
     }
@@ -794,14 +793,14 @@ mod tests {
         // The same site is both a fault point and a disk charge; the
         // charge must not consume `hits` occurrences.
         install(
-            FaultPlan::parse("cache.write@2=io")
+            FaultPlan::parse("metrics.write@2=io")
                 .unwrap()
                 .with_disk(1_000_000, None),
         );
-        assert_eq!(charge_disk("cache.write", 10), None);
-        assert_eq!(charge_disk("cache.write", 10), None);
-        assert_eq!(hit("cache.write"), None);
-        assert_eq!(hit("cache.write"), Some(FaultKind::Io), "rule still fires on hit 2");
+        assert_eq!(charge_disk("metrics.write", 10), None);
+        assert_eq!(charge_disk("metrics.write", 10), None);
+        assert_eq!(hit("metrics.write"), None);
+        assert_eq!(hit("metrics.write"), Some(FaultKind::Io), "rule still fires on hit 2");
         clear();
     }
 
@@ -819,7 +818,7 @@ mod tests {
         let k = FaultPlan::parse("p@1=disk-full;q@1=fd-exhausted;r@1=alloc-fail").unwrap();
         assert_eq!(k.rules.len(), 3);
         clear();
-        assert_eq!(charge_disk("cache.write", u64::MAX), None);
+        assert_eq!(charge_disk("metrics.write", u64::MAX), None);
         assert_eq!(take_fd("serve.accept"), None);
         assert_eq!(charge_alloc("alloc.unit", u64::MAX), None);
     }

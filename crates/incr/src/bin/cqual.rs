@@ -4,8 +4,7 @@
 //! ```text
 //! cqual [--mode mono|poly|polyrec] [--annotate|--rewrite|--report]
 //!       [--qual LIST] [--list-quals] [--verify] [--explain]
-//!       [--keep-going] [--jobs N] [--cache-dir DIR] [--cache-stats]
-//!       [--memory-budget-mb N] [--fault-plan SPEC]
+//!       [--keep-going] [--memory-budget-mb N] [--fault-plan SPEC]
 //!       [--max-constraints N] [--max-solver-steps N] [--max-fn-work N]
 //!       [--connect SOCKET] [--metrics PATH] [--metrics-summary] FILE...
 //! ```
@@ -33,33 +32,24 @@
 //! * `--explain`: when the constraints are unsatisfiable, render each
 //!   conflict as a CQual-style constraint path from the qualifier's
 //!   source to the position that rejects it.
-//! * `--jobs N`, `--cache-dir DIR`, `--cache-stats`: route `--report`
-//!   through the incremental driver (`qual-incr`) — SCCs are analyzed
-//!   in parallel wavefronts, summaries persist in the cache directory,
-//!   and a warm rerun re-solves nothing. The report, the diagnostics
-//!   and the exit code are byte-identical to the serial report for any
-//!   job count or cache state, with one exception: the number on a
-//!   satisfiable `--verify` run's `certified:` line counts the merged
-//!   system, whose proxy templates repeat some constraints (DESIGN.md
-//!   §11). Cache trouble is reported on stderr but never changes the
-//!   exit code. `--annotate`/`--rewrite`/`--explain` still use the
-//!   classic pipeline (a note says so).
-//! * `--memory-budget-mb N`: bound each analysis unit's gross heap
+//! * `--memory-budget-mb N`: bound each fault unit's gross heap
 //!   allocation to N MiB (measured by the tracking allocator,
-//!   DESIGN.md §18). A unit that overruns is excluded with a rendered
-//!   `memory budget exceeded` diagnostic, like a constraint-budget
+//!   DESIGN.md §18). The fault units are the engine's: each global
+//!   initializer, and each function (mono) or FDG component (poly,
+//!   polyrec). A unit that overruns is rolled back and excluded with a
+//!   rendered `memory budget exceeded` diagnostic, like a work-budget
 //!   fault — the rest of the program still gets counts, and the run
 //!   exits 1, never aborts.
 //! * `--fault-plan SPEC`: arm deterministic fault injection for chaos
-//!   testing (e.g. `cache.read@1=io` or `seed:42:150`); also settable
+//!   testing (e.g. `verify.cert@1=garbage` or `seed:42:150`); also settable
 //!   via `QUAL_FAULT_PLAN` / `QUAL_FAULT_SEED`. Injection is for
 //!   testing this tool, not for production runs.
 //! * `--metrics PATH` (or `QUAL_METRICS=PATH`): write a versioned JSON
 //!   metrics document for the whole invocation — per-phase spans
-//!   (parse, sema, fdg, cgen-constraints, solve-propagate, certify,
-//!   cache-read, cache-write, merge), counters, peaks, and one entry
-//!   per analysis unit (see DESIGN.md §13). Instrumentation never
-//!   changes counts, diagnostics, or exit codes.
+//!   (parse, sema, fdg, cgen-constraints, solve-propagate, certify),
+//!   counters (the `analysis.*` results among them) and peaks (the
+//!   allocator's `mem.peak_bytes` among them); see DESIGN.md §13.
+//!   Instrumentation never changes counts, diagnostics, or exit codes.
 //! * `--connect SOCKET`: send the `--report` analysis to a resident
 //!   `cquald` daemon on SOCKET instead of analyzing in process. The
 //!   daemon runs the same engine plain `cqual` runs, so the run prints
@@ -67,11 +57,11 @@
 //!   and exit code. The client retries an `Overloaded` reply up to 3
 //!   times, honoring the daemon's retry hint capped at 250 ms per
 //!   sleep. The daemon serves only the plain `--report` at default
-//!   budgets; with `--annotate`, `--rewrite`, `--explain`, `--jobs`,
-//!   `--cache-dir`, `--cache-stats`, `--memory-budget-mb` or a budget
-//!   flag, or when the daemon is unreachable, still overloaded or
-//!   answers with an error, the run prints one note on stderr and does
-//!   what it does without `--connect`.
+//!   budgets; with `--annotate`, `--rewrite`, `--explain`,
+//!   `--memory-budget-mb` or a budget flag, or when the daemon is
+//!   unreachable, still overloaded or answers with an error, the run
+//!   prints one note on stderr and does what it does without
+//!   `--connect`.
 //! * `--metrics-summary`: print the same data as a human-readable
 //!   table on stdout after the report.
 //!
@@ -82,10 +72,10 @@
 //! files), a broken file cannot take the batch down, and the exit code
 //! reports whether *any* input produced diagnostics.
 //!
-//! The whole pipeline is fault-isolated: unparseable items, functions
-//! that fail sema, exhaust an analysis budget, or get quarantined after
-//! a worker panic are skipped with a rendered diagnostic while counts
-//! are still produced for the rest.
+//! The whole pipeline is fault-isolated: unparseable items and
+//! functions that fail sema or exhaust an analysis budget are skipped
+//! with a rendered diagnostic while counts are still produced for the
+//! rest.
 //! Every venue prints its result through one renderer, with
 //! diagnostics sorted by source position.
 //!
@@ -94,16 +84,14 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | completely clean run (also `--help`, which prints usage on stdout) |
-//! | 1    | analysis finished but skipped something (including quarantined units), solving failed, or an input could not be read |
+//! | 1    | analysis finished but skipped something, solving failed, or an input could not be read |
 //! | 2    | bad usage (unknown flag, missing argument, no input files, malformed `--fault-plan`); usage goes to stderr |
 //! | 3    | `--verify` found a result that failed certification |
 //!
-//! Cache infrastructure trouble (corrupt entries, store failures, an
-//! unusable cache directory) is reported on stderr but never changes
-//! the exit code, and neither does `--connect` daemon trouble (the run
-//! degrades in process instead). A reader that closes stdout early
-//! (`cqual big.c | head -1`) ends the output there; the run exits with
-//! the code it computed, without a panic.
+//! `--connect` daemon trouble is reported on stderr but never changes
+//! the exit code (the run degrades in process instead). A reader that
+//! closes stdout early (`cqual big.c | head -1`) ends the output there;
+//! the run exits with the code it computed, without a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -115,7 +103,7 @@ use qual_constinfer::{
 };
 use qual_lattice::QualSpace;
 use qual_incr::proto::{AnalyzeReq, ReportFrame, PROTO_VERSION};
-use qual_incr::{analyze_source_incremental, serve, IncrConfig};
+use qual_incr::serve;
 use qual_solve::SolveFailure;
 
 /// Route every heap allocation through the tracking allocator so
@@ -162,8 +150,7 @@ macro_rules! outln {
 
 const USAGE: &str = "usage: cqual [--mode mono|poly|polyrec] [--report|--annotate|--rewrite]\n\
                      \x20            [--qual LIST] [--list-quals]\n\
-                     \x20            [--verify] [--explain] [--keep-going] [--jobs N]\n\
-                     \x20            [--cache-dir DIR] [--cache-stats]\n\
+                     \x20            [--verify] [--explain] [--keep-going]\n\
                      \x20            [--memory-budget-mb N] [--fault-plan SPEC]\n\
                      \x20            [--max-constraints N] [--max-solver-steps N]\n\
                      \x20            [--max-fn-work N] [--connect SOCKET]\n\
@@ -183,16 +170,11 @@ struct Config {
     /// The qualifier spaces to solve simultaneously (`--qual`); the
     /// default `const`-only space reproduces the classic report.
     space: QualSpace,
+    /// The engine's budgets; `--memory-budget-mb` sets
+    /// [`Budgets::max_unit_bytes`].
     budgets: Budgets,
     verify: bool,
     explain: bool,
-    /// `Some(n)` when `--jobs` was given — an explicit `--jobs 1` still
-    /// opts into the incremental driver (useful for differencing).
-    jobs: Option<usize>,
-    cache_dir: Option<PathBuf>,
-    cache_stats: bool,
-    /// Per-unit gross allocation bound in MiB (`--memory-budget-mb`).
-    memory_budget_mb: Option<u64>,
     /// Where to write the invocation's JSON metrics document.
     metrics: Option<PathBuf>,
     /// Print the human metrics table after the report.
@@ -200,16 +182,6 @@ struct Config {
     /// A `cquald` socket to send `--report` analyses to; unreachable
     /// daemons degrade to an in-process run.
     connect: Option<PathBuf>,
-}
-
-impl Config {
-    /// Whether any incremental-driver flag was given.
-    fn incremental(&self) -> bool {
-        self.jobs.is_some()
-            || self.cache_dir.is_some()
-            || self.cache_stats
-            || self.memory_budget_mb.is_some()
-    }
 }
 
 /// What one translation unit's analysis reported.
@@ -243,10 +215,6 @@ fn main() -> ExitCode {
         budgets: Budgets::default(),
         verify: false,
         explain: false,
-        jobs: None,
-        cache_dir: None,
-        cache_stats: false,
-        memory_budget_mb: None,
         metrics: None,
         metrics_summary: false,
         connect: None,
@@ -281,18 +249,11 @@ fn main() -> ExitCode {
             "--verify" => cfg.verify = true,
             "--explain" => cfg.explain = true,
             "--keep-going" => keep_going = true,
-            "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.jobs = Some(n),
-                _ => return usage(),
-            },
-            "--cache-dir" => match args.next() {
-                Some(d) => cfg.cache_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--cache-stats" => cfg.cache_stats = true,
             "--memory-budget-mb" => {
-                match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cfg.memory_budget_mb = Some(n),
+                match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                    Some(n) if n >= 1 => {
+                        cfg.budgets.max_unit_bytes = Some(n.saturating_mul(1 << 20));
+                    }
                     _ => return usage(),
                 }
             }
@@ -534,15 +495,6 @@ fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
             Err(why) => eprintln!("cqual: {why}; analyzing in process instead"),
         }
     }
-    if cfg.incremental() {
-        if cfg.action == Action::Report {
-            return analyze_and_print_incremental(cfg, src);
-        }
-        eprintln!(
-            "cqual: note: --annotate/--rewrite use the classic pipeline; \
-             --jobs/--cache-dir apply to --report only"
-        );
-    }
     let options = Options {
         verify_solutions: cfg.verify,
         ..Options::default()
@@ -566,59 +518,6 @@ fn analyze_and_print(cfg: &Config, src: &str) -> RunStats {
     print_frame(&frame, view.as_deref(), &trailer)
 }
 
-/// `--report` through the incremental driver: wavefront-parallel SCC
-/// units, cached summaries, certificate-checked reuse. The printed
-/// report and the exit code match the classic serial path; cache
-/// infrastructure trouble goes to stderr without affecting either.
-fn analyze_and_print_incremental(cfg: &Config, src: &str) -> RunStats {
-    if cfg.explain {
-        eprintln!(
-            "cqual: note: --explain uses the classic pipeline and is \
-             ignored under --jobs/--cache-dir"
-        );
-    }
-    let icfg = IncrConfig {
-        mode: cfg.mode,
-        space: cfg.space.clone(),
-        options: Options {
-            verify_solutions: cfg.verify,
-            ..Options::default()
-        },
-        budgets: cfg.budgets,
-        jobs: cfg.jobs.unwrap_or(1),
-        cache_dir: cfg.cache_dir.clone(),
-        memory_budget_mb: cfg.memory_budget_mb,
-        ..IncrConfig::default()
-    };
-    // `--cache-stats` is served *from the metrics layer*: the run is
-    // collected into a report and the stats lines are rendered from its
-    // counters, so the human output and `--metrics` JSON are two views
-    // of one measurement and can never disagree. The nested report is
-    // absorbed into the invocation-level collector (if any) afterwards.
-    let need_report = cfg.cache_stats || qual_obs::armed();
-    let (out, report) = if need_report {
-        let (out, report) =
-            qual_obs::scoped(|| analyze_source_incremental(src, &icfg));
-        (out, Some(report))
-    } else {
-        (analyze_source_incremental(src, &icfg), None)
-    };
-    let frame = serve::report_from_outcome(&out, src, cfg.mode, cfg.verify);
-    let cache_lines: String = if cfg.cache_stats {
-        let report = report.as_ref().expect("collected when --cache-stats");
-        qual_incr::cache_stats_lines(report)
-            .iter()
-            .map(|line| format!("cqual: cache: {line}\n"))
-            .collect()
-    } else {
-        String::new()
-    };
-    if let Some(report) = &report {
-        qual_obs::absorb(report);
-    }
-    print_frame(&frame, None, &cache_lines)
-}
-
 /// `--connect`: the report a resident `cquald` serves. The daemon runs
 /// the plain engine's `--report` at default budgets, so any other
 /// choice of flags is refused up front; so is daemon trouble
@@ -630,13 +529,8 @@ fn served_report(cfg: &Config, socket: &Path, src: &str) -> Result<ReportFrame, 
                     --annotate, --rewrite or --explain"
             .to_owned());
     }
-    if cfg.budgets != Budgets::default() || cfg.memory_budget_mb.is_some() {
+    if cfg.budgets != Budgets::default() {
         return Err("note: the daemon protocol carries no budgets".to_owned());
-    }
-    if cfg.incremental() {
-        return Err("note: the daemon runs the plain engine, not the \
-                    --jobs/--cache-dir driver"
-            .to_owned());
     }
     let req = AnalyzeReq {
         version: PROTO_VERSION,
@@ -656,7 +550,7 @@ fn served_report(cfg: &Config, socket: &Path, src: &str) -> Result<ReportFrame, 
 /// bytes are the same because every venue renders through one
 /// [`ReportFrame`]. `view` replaces the report on stdout
 /// (`--annotate`/`--rewrite`); `trailer` follows it there (`--explain`
-/// paths or `--cache-stats` lines), before the `certified:` line.
+/// paths), before the `certified:` line.
 fn print_frame(frame: &ReportFrame, view: Option<&str>, trailer: &str) -> RunStats {
     if let Some(text) = view {
         out!("{text}");
@@ -677,19 +571,7 @@ fn print_frame(frame: &ReportFrame, view: Option<&str>, trailer: &str) -> RunSta
         print_qual_counts(&frame.qual_counts);
     }
     out!("{trailer}");
-    if frame.quarantined > 0 {
-        eprintln!(
-            "cqual: {} unit(s) quarantined after worker fault(s); their \
-             functions are excluded from the counts",
-            frame.quarantined
-        );
-    }
     for d in &frame.skipped {
-        eprint!("{d}");
-    }
-    // Cache trouble is operational, not analytical: report it, but keep
-    // it out of the diagnostic tally that drives the exit code.
-    for d in &frame.cache_notes {
         eprint!("{d}");
     }
     if frame.counts.is_none() {

@@ -1,5 +1,8 @@
 //! The persistent on-disk summary cache, safe to share between
 //! concurrent processes and hardened against crashes and transient I/O.
+//! No analysis venue reads or writes it any more: its one caller is the
+//! benchmark harness, which replays the removed unit driver's stores and
+//! loads (DESIGN.md §11).
 //!
 //! One file per unit, named by the unit's content-addressed key. Each
 //! file is a small self-checking container:
@@ -7,7 +10,7 @@
 //! ```text
 //! "QINC"  magic (4 bytes)
 //! u32 LE  format version (must equal summary::FORMAT_VERSION)
-//! u64 LE  writer generation (the driver always writes 0)
+//! u64 LE  writer generation
 //! u64 LE  payload length
 //! u64 LE  FNV-1a checksum of generation, length, and payload
 //! bytes   payload (an encoded UnitSummary)
@@ -22,34 +25,25 @@
 //! so a reader — in this process or another — observes each entry as
 //! either the complete old state or the complete new state, never a
 //! torn mixture; a writer killed at *any* point leaves at worst a stray
-//! temp file (swept by [`prepare_dir`]) plus the old entry. The chaos
-//! suite drives a fault plan through every write-side fault point to
-//! hold this invariant.
+//! temp file plus the old entry.
 //!
-//! **Concurrency.** Nothing is locked: keys are content hashes and the
-//! driver stamps every entry with generation 0, so two processes
-//! writing the same key write identical bytes, and the atomic rename
-//! arbitrates.
+//! **Concurrency.** Nothing is locked: keys are content hashes, so two
+//! processes writing the same key and generation write identical bytes,
+//! and the atomic rename arbitrates.
 //!
 //! **Transient I/O.** Reads and writes retry with bounded exponential
-//! backoff under a [`RetryPolicy`]; retry counts surface in
-//! `--cache-stats` so degradation is visible, not silent.
+//! backoff under a [`RetryPolicy`], and both return the retries spent.
 //!
 //! Loads classify every failure mode — missing file, bad magic, stale
 //! version, short read, checksum mismatch — as [`Load::Absent`] or
-//! [`Load::Corrupt`]; corruption is a *diagnostic*, never a panic, and
-//! the driver falls back to a cold analysis.
-//!
-//! Fault points (`qual-faultpoint`): `cache.read`, `cache.write`.
+//! [`Load::Corrupt`]; corruption is a value, never a panic.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use qual_constinfer::summary::FORMAT_VERSION;
-use qual_faultpoint::FaultKind;
 use qual_solve::wire::{self, Reader, WireError, Writer, FNV_OFFSET, FNV_PRIME};
 
 const MAGIC: &[u8; 4] = b"QINC";
@@ -179,8 +173,7 @@ pub enum Load {
     /// indistinguishable from absent by design).
     Absent,
     /// An entry exists but cannot be trusted; the reason is
-    /// human-readable. The caller re-analyzes cold and reports one
-    /// structured diagnostic.
+    /// human-readable.
     Corrupt(String),
     /// A verified container; the payload still needs decoding and
     /// certification.
@@ -202,8 +195,8 @@ fn entry_path(dir: &Path, key: &Key) -> PathBuf {
 ///
 /// # Errors
 ///
-/// Returns the last I/O error when every attempt failed — the driver
-/// downgrades this to a diagnostic and continues uncached.
+/// Returns the last I/O error when every attempt failed, or the first
+/// one that says the disk is full.
 pub fn store(
     dir: &Path,
     key: &Key,
@@ -217,10 +210,8 @@ pub fn store(
         match store_once(dir, key, payload, generation) {
             Ok(()) => return Ok(attempt),
             // A full disk is not transient at retry timescales:
-            // retrying ENOSPC burns backoff sleeps for nothing. Fail
-            // fast; the driver's degrade path re-probes on the *next*
-            // store instead.
-            Err(e) if is_disk_full(&e) => return Err(e),
+            // retrying ENOSPC burns backoff sleeps for nothing.
+            Err(e) if e.raw_os_error() == Some(ENOSPC) => return Err(e),
             Err(e) if attempt < policy.max_retries => {
                 attempt += 1;
                 std::thread::sleep(RetryPolicy::backoff(attempt));
@@ -231,65 +222,8 @@ pub fn store(
     }
 }
 
-/// Whether an I/O error means "the disk is full" (real ENOSPC or the
-/// injected environment fault).
-#[must_use]
-pub fn is_disk_full(e: &std::io::Error) -> bool {
-    e.raw_os_error() == Some(28) || is_disk_full_msg(&e.to_string())
-}
-
-/// Message-level ENOSPC classification, for errors already rendered to
-/// strings (a unit's recorded store error).
-#[must_use]
-pub fn is_disk_full_msg(msg: &str) -> bool {
-    msg.contains("ENOSPC") || msg.contains("No space left on device")
-}
-
-/// The cache's disk-full degrade state: a latch that turns a stream of
-/// ENOSPC store failures into *one* structured diagnostic per episode,
-/// and a heal note when space returns. Every store attempt doubles as
-/// the re-probe — there is no timer; the first store that succeeds
-/// after a degrade flips the latch back.
-#[derive(Debug, Default)]
-pub struct Health {
-    degraded: AtomicBool,
-}
-
-impl Health {
-    /// A healthy tracker.
-    #[must_use]
-    pub fn new() -> Health {
-        Health::default()
-    }
-
-    /// Records a disk-full store failure. Returns the one-per-episode
-    /// diagnostic on the healthy→degraded transition, `None` while the
-    /// episode is already underway.
-    pub fn note_disk_full(&self) -> Option<String> {
-        if self.degraded.swap(true, Ordering::SeqCst) {
-            return None;
-        }
-        Some(
-            "cache: disk full (ENOSPC); continuing uncached until space returns"
-                .to_owned(),
-        )
-    }
-
-    /// Records a successful store. Returns the heal note on the
-    /// degraded→healthy transition, `None` in steady healthy state.
-    pub fn note_store_ok(&self) -> Option<String> {
-        if !self.degraded.swap(false, Ordering::SeqCst) {
-            return None;
-        }
-        Some("cache: disk space returned; caching resumed".to_owned())
-    }
-
-    /// Whether the cache is currently in a disk-full degrade episode.
-    #[must_use]
-    pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
-    }
-}
+/// `errno` for "no space left on device".
+const ENOSPC: i32 = 28;
 
 fn store_once(
     dir: &Path,
@@ -318,38 +252,6 @@ fn store_once(
         std::process::id(),
         seq
     ));
-
-    // Fault point: `Io` fails the whole attempt (transient — the retry
-    // loop may recover); `ShortWrite` simulates a writer killed mid-way
-    // through the temp file: partial bytes land, no rename happens, the
-    // stray temp is left exactly as a real crash would leave it. Either
-    // way the published entry is untouched — old state.
-    match qual_faultpoint::hit("cache.write") {
-        Some(FaultKind::Io) => {
-            return Err(std::io::Error::other("injected fault at cache.write"));
-        }
-        Some(FaultKind::ShortWrite) => {
-            let _ = fs::write(&tmp, &bytes[..bytes.len() / 2]);
-            return Err(std::io::Error::other(
-                "injected short write at cache.write (simulated crash)",
-            ));
-        }
-        Some(FaultKind::Panic) => panic!("injected panic at cache.write"),
-        Some(FaultKind::DiskFull) => {
-            return Err(std::io::Error::other(
-                "injected disk full at cache.write (ENOSPC)",
-            ));
-        }
-        _ => {}
-    }
-    // Environment machine: the simulated disk charges the whole
-    // container. Explicit rules above win; a full disk denies *before*
-    // the temp file exists, exactly like a real ENOSPC on create.
-    if qual_faultpoint::charge_disk("cache.write", bytes.len() as u64).is_some() {
-        return Err(std::io::Error::other(
-            "injected disk full at cache.write (ENOSPC)",
-        ));
-    }
 
     let write_tmp = (|| -> std::io::Result<()> {
         let mut f = fs::File::create(&tmp)?;
@@ -380,8 +282,8 @@ pub fn load(dir: &Path, key: &Key, policy: RetryPolicy) -> (Load, u32) {
     loop {
         match load_once(dir, key) {
             // `Corrupt` from an unreadable file is worth retrying —
-            // transient EIO and injected faults recover; real
-            // corruption reproduces and exits the loop unchanged.
+            // transient EIO recovers; real corruption reproduces and
+            // exits the loop unchanged.
             Load::Corrupt(msg) if attempt < policy.max_retries && msg.starts_with("unreadable") => {
                 attempt += 1;
                 std::thread::sleep(RetryPolicy::backoff(attempt));
@@ -393,31 +295,11 @@ pub fn load(dir: &Path, key: &Key, policy: RetryPolicy) -> (Load, u32) {
 
 fn load_once(dir: &Path, key: &Key) -> Load {
     let path = entry_path(dir, key);
-
-    // Fault point: `Io` simulates a transient read error (retried);
-    // `Garbage` corrupts the bytes after the read (the checksum must
-    // catch it); `Delay` stalls (lock-step with the deadline tests).
-    let injected = qual_faultpoint::hit("cache.read");
-    if injected == Some(FaultKind::Io) {
-        return Load::Corrupt("unreadable cache entry: injected fault at cache.read".to_owned());
-    }
-    if injected == Some(FaultKind::Panic) {
-        panic!("injected panic at cache.read");
-    }
-
-    let mut bytes = match fs::read(&path) {
+    let bytes = match fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Load::Absent,
         Err(e) => return Load::Corrupt(format!("unreadable cache entry: {e}")),
     };
-    if injected == Some(FaultKind::Garbage) {
-        // Deterministic bit rot over header and payload alike.
-        for (i, b) in bytes.iter_mut().enumerate() {
-            if i % 7 == 3 {
-                *b ^= 0x5a;
-            }
-        }
-    }
     let mut r = Reader::new(&bytes);
     let Ok((magic, version, generation, len, checksum)) = read_header(&mut r) else {
         return Load::Corrupt(format!(
@@ -459,42 +341,6 @@ fn load_once(dir: &Path, key: &Key) -> Load {
 /// length, checksum.
 fn read_header<'a>(r: &mut Reader<'a>) -> Result<(&'a [u8], u32, u64, u64, u64), WireError> {
     Ok((r.bytes(MAGIC.len())?, r.u32()?, r.u64()?, r.u64()?, r.u64()?))
-}
-
-/// Stray temp files older than this are swept by [`prepare_dir`].
-const TMP_STALE_AFTER: Duration = Duration::from_secs(600);
-
-/// Prepares a cache directory for use: creates it, then sweeps temp
-/// files abandoned by crashed writers. Returns the one "unusable" note
-/// when the directory cannot be created; stores then fail and report,
-/// and nothing here can fail the analysis.
-#[must_use]
-pub fn prepare_dir(dir: &Path) -> Option<String> {
-    if fs::create_dir_all(dir).is_err() {
-        return Some(format!("cache directory {} is unusable", dir.display()));
-    }
-
-    // Best effort; the age check keeps us clear of a live writer's
-    // in-flight temp.
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let is_tmp = name.to_string_lossy().contains(".tmp-");
-            if !is_tmp {
-                continue;
-            }
-            let stale = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .is_some_and(|age| age > TMP_STALE_AFTER);
-            if stale {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

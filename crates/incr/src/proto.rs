@@ -177,7 +177,8 @@ pub struct ReportFrame {
     pub positions: Vec<WirePosition>,
     /// Rendered diagnostics (sorted), one string per diagnostic.
     pub skipped: Vec<String>,
-    /// Rendered cache-infrastructure notes.
+    /// Rendered cache-infrastructure notes. Nothing caches any more, so
+    /// every sender leaves it empty; the field stays for wire stability.
     pub cache_notes: Vec<String>,
     /// Diagnostics that are certification failures (drives exit 3).
     pub cert_failures: u64,
@@ -185,7 +186,8 @@ pub struct ReportFrame {
     /// constraints the solution satisfies, or the unsat paths that
     /// witness a conflict (0 when the solve claimed nothing).
     pub certified: u64,
-    /// Units quarantined after an analysis panic (driver reports only).
+    /// Units quarantined after an analysis panic; always 0 (the unit
+    /// driver that set it is gone), kept for wire stability.
     pub quarantined: u64,
     /// The daemon answered from its report memo, without a fresh
     /// analysis.

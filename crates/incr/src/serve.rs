@@ -67,7 +67,7 @@ use qual_solve::{sort_diagnostics, Diagnostic, Phase};
 use crate::cache::{Key, KeyHasher};
 use crate::proto::{self, AnalyzeReq, Frame, ReportFrame, WirePosition};
 pub use crate::proto::{class_from_tag, class_to_tag};
-use crate::{IncrConfig, IncrOutcome};
+use crate::IncrConfig;
 
 /// Reports memoized before the oldest is evicted.
 const MEMO_CAP: usize = 64;
@@ -1040,7 +1040,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<Served>, String> {
         .memory_budget_mb
         .map(|mb| qual_obs::mem::unit_budget(mb.saturating_mul(1 << 20)));
     // Environment machine: a request's up-front allocation charge (a
-    // nominal 1 MiB arena reservation, as the driver charges per unit).
+    // nominal 1 MiB arena reservation).
     if qual_faultpoint::charge_alloc("alloc.unit", 1 << 20).is_some() {
         return Err(
             "allocator watermark exceeded (injected); run the analysis in process".to_owned(),
@@ -1141,14 +1141,14 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
 // Reports
 // ---------------------------------------------------------------------------
 
-/// The one report builder: plain `cqual`, the incremental driver and a
-/// served request all turn their analysis into a [`ReportFrame`] here,
-/// so every venue sorts and renders its diagnostics the same way and
-/// prints the same bytes. `result` is `None` when solving failed;
-/// `certified` is the count the `certified:` line prints (see
-/// [`qual_constinfer::count::certified`]). Driver accounting (cache
-/// notes, quarantines) starts empty; [`report_from_outcome`] fills it
-/// in.
+/// The one report builder: plain `cqual` and a served request both
+/// turn their analysis into a [`ReportFrame`] here, so every venue
+/// sorts and renders its diagnostics the same way and prints the same
+/// bytes. `result` is `None` when solving failed; `certified` is the
+/// count the `certified:` line prints (see
+/// [`qual_constinfer::count::certified`]). The frame's unit-driver
+/// fields (cache notes, quarantines, reused and analyzed units) stay
+/// on the wire for format stability and are always empty.
 #[must_use]
 pub fn report_frame(
     src: &str,
@@ -1215,26 +1215,6 @@ pub fn engine_report(
         &outcome.skipped,
         outcome.certified(),
     )
-}
-
-/// Renders an incremental outcome into the report `cqual --jobs` and
-/// `--cache-dir` print: [`report_frame`] plus the driver's cache notes
-/// and quarantines.
-#[must_use]
-pub fn report_from_outcome(
-    out: &IncrOutcome,
-    src: &str,
-    mode: Mode,
-    verify: bool,
-) -> ReportFrame {
-    let result = out
-        .counts
-        .map(|c| (c, out.positions.as_slice(), out.qual_counts.as_slice()));
-    ReportFrame {
-        cache_notes: out.cache_diags.iter().map(|d| d.render(None)).collect(),
-        quarantined: out.stats.quarantined as u64,
-        ..report_frame(src, mode, verify, result, &out.skipped, out.certified)
-    }
 }
 
 // ---------------------------------------------------------------------------

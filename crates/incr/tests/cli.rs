@@ -144,39 +144,11 @@ fn rewrite_of_non_mono_mode_does_not_panic() {
     assert!(stdout.contains("const char *s"), "{stdout}");
 }
 
-#[test]
-fn jobs_and_cache_flags_report_identically_to_serial() {
-    let dir = TempDir::new("incr");
-    dir.write(
-        "p.c",
-        "char *id(char *s) { return s; }\n\
-         void writer(char *buf) { *id(buf) = 'x'; }\n\
-         char *reader(char *msg) { return id(msg); }\n",
-    );
-    let file = dir.0.join("p.c");
-    let file = file.to_str().unwrap();
-
-    let serial = cqual(&[file]);
-    assert_eq!(serial.status.code(), Some(0));
-    let serial_stdout = String::from_utf8_lossy(&serial.stdout).into_owned();
-
-    // --jobs 1 and --jobs 4 route through the incremental driver and
-    // must reproduce the serial report byte for byte.
-    for jobs in ["1", "4"] {
-        let out = cqual(&["--jobs", jobs, file]);
-        assert_eq!(out.status.code(), Some(0), "--jobs {jobs}");
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            serial_stdout,
-            "--jobs {jobs} report differs from serial"
-        );
-    }
-}
-
 /// A struct field's cell is shared by every instance (§4.2) and is
 /// never generalized: `w` writes through what `get` returns, which is
 /// the field `set` stores `v` into, so `v` cannot be const in any mode
-/// or venue, whichever function comes first.
+/// or venue, whichever function comes first. (`serve_chaos.rs` runs the
+/// same programs through a live daemon.)
 const FIELD_GET: &str = "char *get(struct s *p) { return p->f; }\n";
 const FIELD_W: &str = "void w(struct s *p) { char *c = get(p); c[0] = 1; }\n";
 
@@ -193,14 +165,8 @@ fn struct_fields_stay_shared_in_every_mode_and_venue() {
         let file = dir.0.join(name);
         let file = file.to_str().unwrap();
         for mode in ["mono", "poly", "polyrec"] {
-            let cache = dir.0.join(format!("cache-{i}-{mode}"));
-            let venues: [&[&str]; 5] = [
-                &[],
-                &["--jobs", "1"],
-                &["--jobs", "2"],
-                &["--cache-dir", cache.to_str().unwrap()],
-                &["--cache-dir", cache.to_str().unwrap()],
-            ];
+            let missing = dir.0.join(format!("missing-{i}-{mode}.sock"));
+            let venues: [&[&str]; 2] = [&[], &["--connect", missing.to_str().unwrap()]];
             for venue in venues {
                 let args: Vec<&str> =
                     ["--mode", mode].into_iter().chain(venue.iter().copied()).chain([file]).collect();
@@ -225,7 +191,7 @@ fn struct_fields_stay_shared_in_every_mode_and_venue() {
 }
 
 #[test]
-fn a_function_defined_twice_reports_identically_with_and_without_jobs() {
+fn a_function_defined_twice_is_reported_and_left_unanalyzed() {
     let dir = TempDir::new("redefined");
     dir.write(
         "dup.c",
@@ -249,155 +215,6 @@ fn a_function_defined_twice_reports_identically_with_and_without_jobs() {
     // the call into the library-treated `f` writes through it.
     assert!(stdout.starts_with("1 interesting positions"), "{stdout}");
     assert!(stdout.contains("g(arg 0, level 0)"), "{stdout}");
-
-    let jobs = cqual(&["--jobs", "2", file]);
-    assert_eq!(jobs.status.code(), serial.status.code());
-    assert_eq!(String::from_utf8_lossy(&jobs.stdout), stdout);
-}
-
-#[test]
-fn warm_cache_run_reuses_every_unit() {
-    let dir = TempDir::new("warm");
-    dir.write(
-        "w.c",
-        "int helper(const char *s) { return *s; }\n\
-         int user(char *p) { return helper(p); }\n",
-    );
-    let cache = dir.0.join("cache");
-    let file = dir.0.join("w.c");
-    let args = |extra: &[&str]| {
-        let mut v = vec![
-            "--cache-dir".to_owned(),
-            cache.to_str().unwrap().to_owned(),
-            "--cache-stats".to_owned(),
-        ];
-        v.extend(extra.iter().map(|s| (*s).to_owned()));
-        v.push(file.to_str().unwrap().to_owned());
-        v
-    };
-    let cold_args = args(&[]);
-    let cold = cqual(&cold_args.iter().map(String::as_str).collect::<Vec<_>>());
-    assert_eq!(cold.status.code(), Some(0));
-    let cold_stdout = String::from_utf8_lossy(&cold.stdout).into_owned();
-    assert!(
-        cold_stdout.contains("3 unit(s): 3 analyzed, 0 reused"),
-        "{cold_stdout}"
-    );
-
-    let warm = cqual(&cold_args.iter().map(String::as_str).collect::<Vec<_>>());
-    assert_eq!(warm.status.code(), Some(0));
-    let warm_stdout = String::from_utf8_lossy(&warm.stdout).into_owned();
-    assert!(
-        warm_stdout.contains("3 unit(s): 0 analyzed, 3 reused"),
-        "warm rerun must re-solve nothing: {warm_stdout}"
-    );
-    // Identical report apart from the cache-stats line.
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.starts_with("cqual: cache:"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&cold_stdout), strip(&warm_stdout));
-}
-
-#[test]
-fn corrupt_cache_entries_degrade_to_cold_with_a_note() {
-    let dir = TempDir::new("corrupt-cli");
-    dir.write("c.c", "int first(char *s) { return s[0]; }\n");
-    let cache = dir.0.join("cache");
-    let file = dir.0.join("c.c");
-    let run = || {
-        cqual(&[
-            "--cache-dir",
-            cache.to_str().unwrap(),
-            "--cache-stats",
-            file.to_str().unwrap(),
-        ])
-    };
-    let cold = run();
-    assert_eq!(cold.status.code(), Some(0));
-
-    // Flip one byte in every cache entry.
-    for entry in std::fs::read_dir(&cache).unwrap() {
-        let p = entry.unwrap().path();
-        if p.extension().is_some_and(|x| x == "qinc") {
-            let mut bytes = std::fs::read(&p).unwrap();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x40;
-            std::fs::write(&p, bytes).unwrap();
-        }
-    }
-
-    let hurt = run();
-    // Cache trouble must not change the exit code or the report.
-    assert_eq!(hurt.status.code(), Some(0));
-    assert_eq!(
-        String::from_utf8_lossy(&cold.stdout)
-            .lines()
-            .filter(|l| !l.starts_with("cqual: cache:"))
-            .collect::<Vec<_>>(),
-        String::from_utf8_lossy(&hurt.stdout)
-            .lines()
-            .filter(|l| !l.starts_with("cqual: cache:"))
-            .collect::<Vec<_>>(),
-    );
-    let stderr = String::from_utf8_lossy(&hurt.stderr);
-    assert!(stderr.contains("re-analyzed cold"), "{stderr}");
-
-    // Healing: the bad entries were rewritten, so a third run is warm.
-    let healed = run();
-    let stdout = String::from_utf8_lossy(&healed.stdout);
-    assert!(stdout.contains("0 analyzed"), "{stdout}");
-}
-
-#[test]
-fn an_unusable_cache_dir_is_one_note_not_a_different_report() {
-    let dir = TempDir::new("unusable-cache");
-    dir.write(
-        "u.c",
-        "int helper(const char *s) { return *s; }\n\
-         int user(char *p) { return helper(p); }\n",
-    );
-    dir.write("plain-file", "");
-    let file = dir.0.join("u.c");
-    let file = file.to_str().unwrap();
-    // Nothing can create a directory below a regular file.
-    let cache = dir.0.join("plain-file").join("cache");
-
-    let uncached = cqual(&[file]);
-    assert_eq!(uncached.status.code(), Some(0));
-    let cached = cqual(&["--cache-dir", cache.to_str().unwrap(), file]);
-    assert_eq!(
-        String::from_utf8_lossy(&cached.stdout),
-        String::from_utf8_lossy(&uncached.stdout),
-        "an unusable cache must not change the report"
-    );
-    assert_eq!(cached.status.code(), uncached.status.code());
-    let stderr = String::from_utf8_lossy(&cached.stderr);
-    let note = format!("cache directory {} is unusable", cache.display());
-    assert_eq!(stderr.matches(&note).count(), 1, "{stderr}");
-}
-
-#[test]
-fn verify_with_jobs_certifies_the_merged_system() {
-    let dir = TempDir::new("verify-jobs");
-    dir.write(
-        "v.c",
-        "int a(char *x) { return *x; }\nint b(char *y) { return a(y); }\n",
-    );
-    let out = cqual(&[
-        "--verify",
-        "--jobs",
-        "2",
-        dir.0.join("v.c").to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("cqual: certified: solution satisfies all"),
-        "{stdout}"
-    );
 }
 
 #[test]
@@ -440,12 +257,73 @@ fn a_closed_stdout_ends_the_report_without_a_panic() {
     assert_eq!(status.code(), full.status.code(), "{stderr}");
 }
 
+/// `--jobs`, `--cache-dir` and `--cache-stats` selected the removed
+/// unit driver; every value of them is a usage error now, like any
+/// unknown flag.
 #[test]
 fn bad_jobs_value_is_a_usage_error() {
-    let out = cqual(&["--jobs", "0", "x.c"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = cqual(&["--jobs", "many", "x.c"]);
-    assert_eq!(out.status.code(), Some(2));
+    let dir = TempDir::new("retired-flags");
+    dir.write("x.c", "int f(const char *s) { return *s; }\n");
+    let file = dir.0.join("x.c");
+    let file = file.to_str().unwrap();
+    let retired: [&[&str]; 6] = [
+        &["--jobs", "0"],
+        &["--jobs", "many"],
+        &["--jobs", "1"],
+        &["--jobs", "2"],
+        &["--cache-dir", "D"],
+        &["--cache-stats"],
+    ];
+    for flags in retired {
+        let args: Vec<&str> = flags.iter().copied().chain([file]).collect();
+        let out = cqual(&args);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        assert!(out.stdout.is_empty(), "{flags:?} must not pollute stdout");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage: cqual"),
+            "{flags:?}: usage goes to stderr"
+        );
+    }
+}
+
+/// `--memory-budget-mb` bounds each fault unit's gross allocation: the
+/// one large function overruns 1 MiB and is excluded with a
+/// diagnostic, the small ones are still counted, and the run exits 1.
+#[test]
+fn memory_budget_excludes_the_overrunning_function_and_counts_the_rest() {
+    let dir = TempDir::new("memory-budget");
+    let big: String = (0..8000).map(|i| format!("  q[{i}] = p[{i}];\n")).collect();
+    dir.write(
+        "m.c",
+        &format!(
+            "int small(const char *s) {{ return s[0]; }}\n\
+             void big(int *p, int *q) {{\n{big}}}\n\
+             int other(char *t) {{ return small(t); }}\n"
+        ),
+    );
+    let file = dir.0.join("m.c");
+    let file = file.to_str().unwrap();
+    for mode in ["mono", "poly"] {
+        let out = cqual(&["--mode", mode, "--memory-budget-mb", "1", file]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode}\n{stdout}\n{stderr}");
+        assert_eq!(
+            stderr.matches("memory budget exceeded").count(),
+            1,
+            "{mode}: only `big` overruns\n{stderr}"
+        );
+        assert!(stderr.contains("`big`"), "{mode}: {stderr}");
+        // `big` is excluded; `small` and `other` keep their positions.
+        assert!(stdout.starts_with("2 interesting positions"), "{mode}\n{stdout}");
+        assert!(stdout.contains("small(arg 0, level 0)"), "{mode}\n{stdout}");
+        assert!(stdout.contains("other(arg 0, level 0)"), "{mode}\n{stdout}");
+        assert!(!stdout.contains("big("), "{mode}\n{stdout}");
+
+        // Without the budget the same program is clean.
+        let free = cqual(&["--mode", mode, file]);
+        assert_eq!(free.status.code(), Some(0), "{mode}");
+    }
 }
 
 #[test]
@@ -462,8 +340,6 @@ fn metrics_flag_writes_schema_valid_document_without_changing_output() {
 
     let plain = cqual(&[src.to_str().unwrap()]);
     let with_metrics = cqual(&[
-        "--jobs",
-        "2",
         "--metrics",
         out_path.to_str().unwrap(),
         "--metrics-summary",
@@ -490,11 +366,22 @@ fn metrics_flag_writes_schema_valid_document_without_changing_output() {
             .and_then(|c| c.get(name))
             .and_then(Json::as_u64)
     };
-    assert_eq!(counter("analysis.units"), Some(3), "globals + two SCCs");
+    // Plain `cqual` records the run's results and the allocator's
+    // gauges, not only the engine's work counters.
+    assert!(plain_out.starts_with("2 interesting positions: 1 declared const, 2 inferable"));
+    assert_eq!(counter("analysis.positions_total"), Some(2));
+    assert_eq!(counter("analysis.positions_declared"), Some(1));
+    assert_eq!(counter("analysis.positions_inferred"), Some(2));
+    assert_eq!(counter("analysis.diagnostics"), Some(0));
+    assert_eq!(counter("analysis.const.may"), Some(2));
+    assert!(counter("analysis.const.must").is_some());
     assert!(counter("cgen.constraints").unwrap_or(0) > 0);
+    let peak = |name: &str| doc.get("peaks").and_then(|c| c.get(name)).and_then(Json::as_u64);
+    assert!(peak("mem.peak_bytes").unwrap_or(0) > 0, "the shim measured the heap");
+    assert!(peak("mem.live_bytes").unwrap_or(0) > 0);
     assert!(
-        doc.get("units").and_then(Json::as_arr).is_some_and(|u| u.len() == 3),
-        "per-unit reports present"
+        doc.get("units").and_then(Json::as_arr).is_some_and(<[Json]>::is_empty),
+        "version-1 readers still find an empty `units` list"
     );
 }
 
@@ -593,8 +480,6 @@ fn exit_code_table_is_exhaustive_and_stable() {
     // verify.cert fault point so no real solver bug is needed).
     let cert = cqual(&[
         "--verify",
-        "--jobs",
-        "1",
         "--fault-plan",
         "verify.cert@1=garbage",
         clean,

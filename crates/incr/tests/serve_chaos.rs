@@ -13,10 +13,13 @@
 //!   daemon on the same socket steals the stale file and serves at once;
 //! * N concurrent `--connect` clients are byte-identical to serial
 //!   `cqual`;
-//! * every venue — plain `cqual`, `--jobs 1` and `2`, a cold and a warm
-//!   `--cache-dir`, a live daemon and a missing one — prints the same
-//!   stdout, stderr and exit code, budget-faulted and unsat `--verify`
-//!   runs included, and `--connect` prints plain's `certified:` count;
+//! * every venue — plain `cqual`, a live daemon and a missing one —
+//!   prints the same stdout, stderr and exit code, budget-faulted and
+//!   unsat `--verify` runs included, and `--connect` prints plain's
+//!   `certified:` count;
+//! * an engine panic (the `unit.solve` fault point) inside the daemon
+//!   costs its one request: the client prints plain's bytes plus one
+//!   note, and the daemon serves the next request;
 //! * a seed-derived fault plan over every `serve.*` point still yields
 //!   byte-identical client output, wherever the faults land;
 //! * pinned `proto.read`/`proto.write` faults on the daemon's frames
@@ -510,21 +513,9 @@ fn concurrent_connect_clients_match_serial_cqual_byte_for_byte() {
 }
 
 /// What a venue printed, made comparable across venues: the exit code,
-/// stdout, and stderr without the venue's one note line. `mask` hides
-/// the count on a satisfiable `certified:` line, which the driver
-/// venues print for their merged system: it repeats proxy creation
-/// constraints by design (DESIGN.md §11).
-fn comparable(out: &Output, mask: bool) -> (Option<i32>, String, String) {
-    let satisfied = "cqual: certified: solution satisfies all ";
-    let stdout: String = String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(|l| match l.strip_prefix(satisfied) {
-            Some(rest) if mask => {
-                format!("{satisfied}#{}\n", &rest[rest.find(' ').unwrap_or(0)..])
-            }
-            _ => format!("{l}\n"),
-        })
-        .collect();
+/// stdout, and stderr without the venue's one note line.
+fn comparable(out: &Output) -> (Option<i32>, String, String) {
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     let mut dropped = false;
     let stderr: String = String::from_utf8_lossy(&out.stderr)
         .lines()
@@ -605,10 +596,9 @@ fn every_venue_prints_what_plain_cqual_prints() {
     let socket = dir.path("d.sock");
     let missing = dir.path("missing.sock");
     let _daemon = Daemon::spawn("venues", &socket, &[], &[]);
-    for (i, (name, src, flags)) in corpus.into_iter().enumerate() {
+    for (name, src, flags) in corpus {
         let file = dir.write(name, src);
-        let cache = dir.path(&format!("cache{i}"));
-        let (file, cache) = (file.to_str().unwrap(), cache.to_str().unwrap());
+        let file = file.to_str().unwrap();
         let run = |venue_args: &[&str]| {
             let args: Vec<&str> = flags
                 .iter()
@@ -619,21 +609,15 @@ fn every_venue_prints_what_plain_cqual_prints() {
             cqual(&args)
         };
         let plain = run(&[]);
-        // The daemon and the in-process fallback run the plain engine;
-        // only the driver venues need the mask.
-        let venues: [(&str, &[&str], bool); 6] = [
-            ("--jobs 1", &["--jobs", "1"], true),
-            ("--jobs 2", &["--jobs", "2"], true),
-            ("cold cache", &["--cache-dir", cache], true),
-            ("warm cache", &["--cache-dir", cache], true),
-            ("live daemon", &["--connect", socket.to_str().unwrap()], false),
-            ("missing daemon", &["--connect", missing.to_str().unwrap()], false),
+        let venues: [(&str, &[&str]); 2] = [
+            ("live daemon", &["--connect", socket.to_str().unwrap()]),
+            ("missing daemon", &["--connect", missing.to_str().unwrap()]),
         ];
-        for (venue, venue_args, mask) in venues {
+        for (venue, venue_args) in venues {
             let got = run(venue_args);
             assert_eq!(
-                comparable(&got, mask),
-                comparable(&plain, mask),
+                comparable(&got),
+                comparable(&plain),
                 "{name} {flags:?}: {venue} differs from plain cqual"
             );
             if venue == "live daemon" && !flags.iter().any(|f| f.starts_with("--max-")) {
@@ -645,6 +629,46 @@ fn every_venue_prints_what_plain_cqual_prints() {
             }
         }
     }
+}
+
+/// `unit.solve`, the one analysis fault point left (DESIGN.md §12): a
+/// panic in the engine is confined to the request that hit it.
+#[test]
+fn an_engine_panic_costs_one_request_not_the_daemon() {
+    let dir = TempDir::new("unit-solve");
+    let file = dir.write("a.c", SRC_A);
+    let socket = dir.path("d.sock");
+    let mut daemon = Daemon::spawn(
+        "unit-solve",
+        &socket,
+        &[],
+        &[("QUAL_FAULT_PLAN", "unit.solve@1=panic")],
+    );
+    let plain = cqual(&[file.to_str().unwrap()]);
+    assert_eq!(plain.status.code(), Some(0));
+
+    // The first analysis panics in the daemon: the client is told, and
+    // analyzes in process instead.
+    let first = connect_run(&socket, &file);
+    assert_eq!(comparable(&first), comparable(&plain));
+    let stderr = String::from_utf8_lossy(&first.stderr);
+    assert!(
+        stderr.ends_with("analyzing in process instead\n") && stderr.lines().count() == 1,
+        "one note on stderr: {stderr}"
+    );
+
+    // The daemon survived and serves the next request itself.
+    assert!(daemon.alive(), "the panic killed the daemon");
+    let second = connect_run(&socket, &file);
+    assert_eq!(second.status.code(), plain.status.code());
+    assert_eq!(second.stdout, plain.stdout);
+    assert!(
+        second.stderr.is_empty(),
+        "the second request was not served: {}",
+        String::from_utf8_lossy(&second.stderr)
+    );
+    let stats = serve::request_stats(&Connect::new(socket)).expect("stats");
+    assert_eq!(stat(&stats, "serve.session_panics"), 1, "{stats:?}");
 }
 
 #[test]

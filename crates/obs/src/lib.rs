@@ -7,15 +7,10 @@
 //!
 //! * **Spans** — monotonic-clock wall timings per named phase
 //!   (`parse`, `sema`, `fdg`, `cgen-constraints`, `solve-propagate`,
-//!   `certify`, `cache-read`, `cache-write`, `merge`), recorded into a
-//!   thread-local collector;
+//!   `certify`), recorded into a thread-local collector;
 //! * **Counters and peaks** — constraint counts, qualifier-variable
-//!   counts, solver worklist steps, unit/cache tallies, peak arena
-//!   sizes;
-//! * **Per-unit reports** — the incremental driver captures each work
-//!   unit's spans on whatever worker thread ran it and absorbs them on
-//!   the driver thread in fixed unit order, so aggregation is
-//!   deterministic no matter how many workers raced;
+//!   counts, solver worklist steps, the analysis results, peak arena
+//!   sizes and the allocator's gauges;
 //! * **A versioned JSON wire format** ([`Report::to_json`], validated
 //!   by [`schema::validate_metrics`]) plus a human summary table
 //!   ([`render_summary`]) and a timing-free canonical fingerprint
@@ -28,12 +23,15 @@
 //! (metrics on ≡ metrics off, byte-identical counts and diagnostics).
 //!
 //! The determinism contract for documents is split by key namespace:
-//! counters prefixed `analysis.` are **deterministic** (identical for
-//! any worker count or cache state — they derive from unit summaries
-//! and merged results, not from the execution path), while `cache.*`,
-//! `sched.*`, every span, and every `*_ns` field are **operational**
-//! and may legitimately differ between a cold and a warm run.
+//! counters prefixed `analysis.` are **deterministic** (the same for
+//! every run of the same input, because they count results, not
+//! work), while every other counter, every span, and every `*_ns` field
+//! are **operational** and may legitimately differ between runs.
 //! [`analysis_fingerprint`] keeps exactly the deterministic subset.
+//!
+//! Version-1 documents also carry a per-unit list, `units`, from the
+//! unit driver that used to run analyses; nothing fills it any more,
+//! so it is always empty, and readers still find the key.
 
 pub mod json;
 pub mod mem;
@@ -61,7 +59,8 @@ pub struct SpanStat {
     pub count: u64,
 }
 
-/// Metrics of one work unit, captured on the worker that executed it.
+/// Metrics of one work unit. Nothing records units any more; the type
+/// stays so version-1 documents keep their shape (see the crate docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnitReport {
     /// Unit label ("globals" or the SCC members joined with `+`).
@@ -91,7 +90,8 @@ pub struct Report {
     pub counters: BTreeMap<String, u64>,
     /// Aggregate high-water marks.
     pub peaks: BTreeMap<String, u64>,
-    /// Per-unit detail, in deterministic unit order.
+    /// Per-unit detail, in deterministic unit order (always empty from
+    /// today's tools).
     pub units: Vec<UnitReport>,
 }
 
@@ -196,7 +196,7 @@ thread_local! {
 }
 
 /// Whether any collector is installed anywhere in the process (cheap;
-/// workers use it to decide whether to capture at all).
+/// every probe checks it first).
 #[must_use]
 pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed) > 0
@@ -286,47 +286,6 @@ pub fn peak(name: &'static str, value: u64) {
     });
 }
 
-/// Appends one work unit's report to the thread's collector and merges
-/// its spans/counters/peaks into the aggregate. `analysis` carries the
-/// deterministic counters (derived from the unit's summary, so they are
-/// identical whether the unit was analyzed cold, reused from cache, or
-/// ran on any worker); `captured` carries whatever the executing worker
-/// recorded. Call in fixed unit order — that order *is* the
-/// deterministic-aggregation guarantee.
-pub fn unit(label: &str, outcome: &str, analysis: &[(&str, u64)], captured: &Report) {
-    if !active() {
-        return;
-    }
-    let mut u = UnitReport {
-        label: label.to_owned(),
-        outcome: outcome.to_owned(),
-        total_ns: captured.total_ns,
-        spans: captured.spans.clone(),
-        counters: captured.counters.clone(),
-        peaks: captured.peaks.clone(),
-    };
-    for (k, v) in analysis {
-        *u.counters.entry((*k).to_owned()).or_default() += v;
-    }
-    CURRENT.with(|c| {
-        if let Some(rep) = c.borrow_mut().as_mut() {
-            for (name, stat) in &u.spans {
-                let e = rep.spans.entry(name.clone()).or_default();
-                e.ns += stat.ns;
-                e.count += stat.count;
-            }
-            for (name, n) in &u.counters {
-                *rep.counters.entry(name.clone()).or_default() += n;
-            }
-            for (name, n) in &u.peaks {
-                let e = rep.peaks.entry(name.clone()).or_default();
-                *e = (*e).max(*n);
-            }
-            rep.units.push(u);
-        }
-    });
-}
-
 /// Folds a detached report (e.g. from an inner [`scoped`]) into this
 /// thread's collector, if one is installed.
 pub fn absorb(report: &Report) {
@@ -343,8 +302,7 @@ pub fn absorb(report: &Report) {
 /// The canonical timing-free fingerprint of a metrics document: version,
 /// tool, mode, every `analysis.*` counter, and each unit's label with
 /// its `analysis.*` counters. Two runs of the same input must produce
-/// byte-identical fingerprints regardless of worker count, cache state,
-/// or wall-clock noise — the parallel differential oracle enforces it.
+/// byte-identical fingerprints regardless of wall-clock noise.
 #[must_use]
 pub fn analysis_fingerprint(doc: &Json) -> String {
     let mut out = String::new();
@@ -503,23 +461,33 @@ mod tests {
         assert_eq!(outer.counter("after"), 1);
     }
 
+    fn unit_report(label: &str, outcome: &str) -> UnitReport {
+        UnitReport {
+            label: label.to_owned(),
+            outcome: outcome.to_owned(),
+            ..UnitReport::default()
+        }
+    }
+
     #[test]
     fn units_aggregate_deterministically() {
-        let ((), captured) = scoped(|| {
+        // A version-1 document's units survive `merge` in merge order,
+        // beside the summed aggregates.
+        let ((), mut a) = scoped(|| {
             let _s = span("cgen-constraints");
-            count("solve.steps", 11);
+            count("analysis.constraints", 3);
         });
-        let ((), rep) = scoped(|| {
-            unit("globals", "analyzed", &[("analysis.constraints", 3)], &captured);
-            unit("f+g", "reused", &[("analysis.constraints", 4)], &Report::default());
-        });
+        a.units.push(unit_report("globals", "analyzed"));
+        let mut b = Report::default();
+        b.counters.insert("analysis.constraints".to_owned(), 4);
+        b.units.push(unit_report("f+g", "reused"));
+        let mut rep = Report::default();
+        rep.merge(&a);
+        rep.merge(&b);
         assert_eq!(rep.units.len(), 2);
         assert_eq!(rep.units[0].label, "globals");
-        assert_eq!(rep.units[0].counters["analysis.constraints"], 3);
         assert_eq!(rep.units[1].outcome, "reused");
-        // Aggregates fold the unit data in.
         assert_eq!(rep.counter("analysis.constraints"), 7);
-        assert_eq!(rep.counter("solve.steps"), 11);
         assert_eq!(rep.spans["cgen-constraints"].count, 1);
     }
 
@@ -547,8 +515,9 @@ mod tests {
             let _s = span("solve-propagate");
             count("analysis.merged_constraints", 12);
             peak("solve.vars", 7);
-            unit("globals", "analyzed", &[], &Report::default());
         });
+        let mut rep = rep;
+        rep.units.push(unit_report("globals", "analyzed"));
         let text = render_summary(&rep, "cqual", "poly");
         assert!(text.contains("solve-propagate"), "{text}");
         assert!(text.contains("analysis.merged_constraints"), "{text}");

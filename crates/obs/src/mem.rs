@@ -178,8 +178,18 @@ mod tests {
     // whatever the atomics hold; budgets are driven here by simulating
     // the allocator's bookkeeping directly.
 
+    /// The gauges are process-wide, and the harness runs tests on
+    /// parallel threads: each test here holds this lock, so another
+    /// test's simulated allocation never lands between one test's
+    /// `note_dealloc` and its read of the gauge.
+    fn serialize() -> std::sync::MutexGuard<'static, ()> {
+        static GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        GAUGES.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn budget_arms_measures_and_restores() {
+        let _g = serialize();
         assert_eq!(unit_overrun(), None, "no budget armed");
         {
             let _b = unit_budget(100);
@@ -196,6 +206,7 @@ mod tests {
 
     #[test]
     fn nested_budgets_shadow_and_restore() {
+        let _g = serialize();
         let _outer = unit_budget(u64::MAX);
         {
             let _inner = unit_budget(10);
@@ -207,6 +218,7 @@ mod tests {
 
     #[test]
     fn live_gauge_never_underflows() {
+        let _g = serialize();
         let before = live_bytes();
         note_dealloc(u64::MAX);
         assert_eq!(live_bytes(), 0);

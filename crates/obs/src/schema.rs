@@ -158,12 +158,16 @@ fn validate_count_map(map: Option<&Json>, ctx: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scoped, Report};
+    use crate::{scoped, UnitReport};
 
+    /// A live document plus one version-1 unit entry, so the unit
+    /// checks have something to check.
     fn sample_doc() -> Json {
-        let ((), rep) = scoped(|| {
-            crate::count("analysis.units", 1);
-            crate::unit("globals", "analyzed", &[("analysis.constraints", 2)], &Report::default());
+        let ((), mut rep) = scoped(|| crate::count("analysis.positions_total", 1));
+        rep.units.push(UnitReport {
+            label: "globals".to_owned(),
+            outcome: "analyzed".to_owned(),
+            ..UnitReport::default()
         });
         rep.to_json("cqual", "poly")
     }

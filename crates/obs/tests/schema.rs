@@ -192,9 +192,12 @@ fn version_bump_is_rejected_but_parseable() {
 fn real_collector_output_validates() {
     let ((), rep) = qual_obs::scoped(|| {
         let _s = qual_obs::span("parse");
-        qual_obs::count("analysis.units", 1);
+        qual_obs::count("analysis.positions_total", 1);
         qual_obs::peak("arena.qtypes", 3);
-        qual_obs::unit("globals", "analyzed", &[("analysis.constraints", 2)], &Report::default());
     });
-    validate_metrics(&rep.to_json("test", "mono")).expect("live doc validates");
+    // A live collector records no units; the document still carries
+    // the (empty) list version-1 readers require.
+    let doc = rep.to_json("test", "mono");
+    assert!(doc.get("units").and_then(Json::as_arr).is_some_and(<[Json]>::is_empty));
+    validate_metrics(&doc).expect("live doc validates");
 }

@@ -456,7 +456,7 @@ mod tests {
         );
 
         // Any permutation of the same multiset sorts to identical bytes —
-        // the property the parallel driver relies on.
+        // the property every venue relies on to print the same bytes.
         let mut rotated = vec![
             diags[3].clone(),
             diags[0].clone(),

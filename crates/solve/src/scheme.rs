@@ -78,9 +78,9 @@ impl<B> Scheme<B> {
 
     /// Reassembles a scheme from its parts — the inverse of taking
     /// [`Scheme::body`], [`Scheme::bound_vars`], and
-    /// [`Scheme::captured_constraints`] apart. Used by the incremental
-    /// driver to rebuild a generalized signature from its serialized
-    /// summary; the caller is responsible for the parts being coherent
+    /// [`Scheme::captured_constraints`] apart. Used to rebuild a
+    /// generalized signature from a serialized unit summary, and for
+    /// polymorphic recursion's most general starting scheme; the caller is responsible for the parts being coherent
     /// (constraints expressed over the bound and free variables of the
     /// receiving constraint world).
     pub fn from_parts(body: B, bound: Vec<QVar>, constraints: Vec<Constraint>) -> Scheme<B> {
