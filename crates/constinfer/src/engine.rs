@@ -311,14 +311,11 @@ pub fn certify_solution(
             debug_assert!(false, "{message}");
         }
     };
-    // Fault point: `verify.cert` (garbage) forges a certification
-    // failure, making the exit-3 path testable end to end without a
-    // solver bug. Armed only when verification was requested, so a
-    // debug build inheriting a broad plan cannot debug_assert-panic.
-    if options.verify_solutions
-        && qual_faultpoint::hit("verify.cert")
-            == Some(qual_faultpoint::FaultKind::Garbage)
-    {
+    // Fault point: `verify.cert` (io) forges a certification failure,
+    // making the exit-3 path testable end to end without a solver bug.
+    // Armed only when verification was requested, so a debug build
+    // inheriting a broad plan cannot debug_assert-panic.
+    if options.verify_solutions && qual_faultpoint::hit("verify.cert").is_err() {
         report("solution failed certification: injected fault at verify.cert"
             .to_owned());
         return;
@@ -1016,12 +1013,13 @@ impl<'a> Engine<'a> {
     }
 
     fn analyze_fn(&mut self, f: &'a FnDef) -> Result<(), Diagnostic> {
-        // Chaos hook: an injected `Panic` here simulates an engine bug
+        // Chaos hook: an injected `panic` here simulates an engine bug
         // mid-analysis (plain `cqual` dies with it; `cquald` confines it
-        // to its request, DESIGN.md §12); an injected `Delay` simulates
-        // a slow body (a request deadline reaps it). One relaxed load
-        // when no plan is installed.
-        qual_faultpoint::maybe_panic("unit.solve");
+        // to its request, DESIGN.md §12); an injected `delay` simulates
+        // a slow body (a request deadline reaps it). `hit` acts out
+        // both, and no call here can fail, so an `io` means nothing.
+        // One relaxed load when no plan is installed.
+        let _ = qual_faultpoint::hit("unit.solve");
         self.fuel = self.budgets.max_fn_work;
         let Some(sig) = self.sigs.get(&f.name) else {
             return Err(Diagnostic::error(

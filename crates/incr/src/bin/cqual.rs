@@ -41,9 +41,10 @@
 //!   fault — the rest of the program still gets counts, and the run
 //!   exits 1, never aborts.
 //! * `--fault-plan SPEC`: arm deterministic fault injection for chaos
-//!   testing (e.g. `verify.cert@1=garbage` or `seed:42:150`); also settable
-//!   via `QUAL_FAULT_PLAN` / `QUAL_FAULT_SEED`. Injection is for
-//!   testing this tool, not for production runs.
+//!   testing, as `point@N=kind` rules (e.g. `verify.cert@1=io`, which
+//!   forges a certification failure); also settable via
+//!   `QUAL_FAULT_PLAN`. Injection is for testing this tool, not for
+//!   production runs.
 //! * `--metrics PATH` (or `QUAL_METRICS=PATH`): write a versioned JSON
 //!   metrics document for the whole invocation — per-phase spans
 //!   (parse, sema, fdg, cgen-constraints, solve-propagate, certify),
@@ -84,14 +85,17 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | completely clean run (also `--help`, which prints usage on stdout) |
-//! | 1    | analysis finished but skipped something, solving failed, or an input could not be read |
+//! | 1    | analysis finished but skipped something, solving failed, an input could not be read, or stdout could not be written |
 //! | 2    | bad usage (unknown flag, missing argument, no input files, malformed `--fault-plan`); usage goes to stderr |
 //! | 3    | `--verify` found a result that failed certification |
 //!
 //! `--connect` daemon trouble is reported on stderr but never changes
 //! the exit code (the run degrades in process instead). A reader that
 //! closes stdout early (`cqual big.c | head -1`) ends the output there;
-//! the run exits with the code it computed, without a panic.
+//! the run exits with the code it computed, without a panic. Any other
+//! failed write to stdout (`cqual f.c > /dev/full`) prints one
+//! `cqual: cannot write output: …` line on stderr, ends the output,
+//! and exits 1.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -113,23 +117,26 @@ use qual_solve::SolveFailure;
 #[global_allocator]
 static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
 
-/// Set once a write to stdout fails with a broken pipe: the reader has
-/// gone away (`cqual big.c | head -1`), so the rest of the output is
-/// dropped and the run still exits with the status it computed.
+/// Set once a write to stdout fails: the rest of the output is
+/// dropped.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+/// Set when that failure was not a broken pipe: the run then exits 1.
+static STDOUT_FAILED: AtomicBool = AtomicBool::new(false);
 
-/// Writes to stdout like `print!`, except that a closed pipe ends the
-/// output quietly instead of panicking.
+/// Writes to stdout like `print!`, without panicking when it fails. A
+/// closed pipe means the reader has gone away (`cqual big.c | head
+/// -1`): the output ends quietly and the run still exits with the
+/// status it computed. Any other failure is said once on stderr.
 fn write_stdout(args: std::fmt::Arguments<'_>) {
     use std::io::Write;
     if STDOUT_CLOSED.load(Ordering::Relaxed) {
         return;
     }
     if let Err(e) = std::io::stdout().write_fmt(args) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            STDOUT_CLOSED.store(true, Ordering::Relaxed);
-        } else {
-            panic!("failed printing to stdout: {e}");
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            STDOUT_FAILED.store(true, Ordering::Relaxed);
+            eprintln!("cqual: cannot write output: {e}");
         }
     }
 }
@@ -202,6 +209,15 @@ enum Action {
 }
 
 fn main() -> ExitCode {
+    let code = run_cli();
+    if STDOUT_FAILED.load(Ordering::Relaxed) {
+        ExitCode::FAILURE
+    } else {
+        code
+    }
+}
+
+fn run_cli() -> ExitCode {
     // Arm fault injection from the environment up front; an explicit
     // `--fault-plan` below overrides it.
     if let Err(e) = qual_faultpoint::install_from_env() {
@@ -342,35 +358,13 @@ fn main() -> ExitCode {
 }
 
 /// Writes the metrics document via temp+rename so a monitoring reader
-/// never sees a torn file: a crash or a disk-full fault mid-write
-/// leaves either the previous complete document or nothing, never a
-/// prefix. The `metrics.write` fault point and the disk byte budget
-/// (`--fault-plan disk:CAP`) cover the write for chaos tests; metrics
-/// trouble stays on stderr and never changes the exit code.
+/// never sees a torn file: a crash or a full disk mid-write leaves
+/// either the previous complete document or nothing, never a prefix.
+/// The `metrics.write` fault point fails the write for chaos tests;
+/// metrics trouble stays on stderr and never changes the exit code.
 fn write_metrics_atomic(path: &std::path::Path, doc: &str) -> std::io::Result<()> {
     use std::io::Write;
-    match qual_faultpoint::hit("metrics.write") {
-        Some(qual_faultpoint::FaultKind::Panic) => {
-            panic!("injected panic at metrics.write")
-        }
-        Some(qual_faultpoint::FaultKind::Delay(ms)) => {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        Some(qual_faultpoint::FaultKind::DiskFull) => {
-            return Err(std::io::Error::other(
-                "injected disk full at metrics.write (ENOSPC)",
-            ));
-        }
-        Some(_) => {
-            return Err(std::io::Error::other("injected fault at metrics.write"));
-        }
-        None => {}
-    }
-    if qual_faultpoint::charge_disk("metrics.write", doc.len() as u64).is_some() {
-        return Err(std::io::Error::other(
-            "injected disk full at metrics.write (ENOSPC)",
-        ));
-    }
+    qual_faultpoint::hit("metrics.write")?;
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(format!(".tmp.{}", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp_name);
@@ -636,18 +630,22 @@ fn rewrite_text(cfg: &Config, src: &str, outcome: &AnalysisOutcome) -> String {
         );
     }
     // Rewriting needs monomorphic classifications; reuse the outcome
-    // when it is already monomorphic, otherwise re-analyze.
+    // when it is already monomorphic, otherwise re-analyze. The metrics
+    // document describes the report's run only, so the re-analysis
+    // records into a collector of its own, which is dropped.
     let mono;
     let (prog, result) = if cfg.mode == Mode::Monomorphic {
         (&outcome.program, outcome.result.as_ref())
     } else {
-        mono = analyze_source_with_options_in(
-            src,
-            &cfg.space,
-            Mode::Monomorphic,
-            Options::default(),
-            cfg.budgets,
-        );
+        (mono, _) = qual_obs::scoped(|| {
+            analyze_source_with_options_in(
+                src,
+                &cfg.space,
+                Mode::Monomorphic,
+                Options::default(),
+                cfg.budgets,
+            )
+        });
         (&mono.program, mono.result.as_ref())
     };
     result.map_or_else(String::new, |result| rewrite_source(prog, result))

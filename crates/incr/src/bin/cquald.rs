@@ -49,9 +49,9 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Fault plans arrive via the environment (QUAL_FAULT_PLAN /
-    // QUAL_FAULT_SEED) so the chaos suite can arm the daemon's
-    // `serve.*` fault points without a flag.
+    // A fault plan arrives via the environment (`QUAL_FAULT_PLAN`, e.g.
+    // `serve.accept@3=fd-exhausted`) so the chaos suite can arm the
+    // daemon's fault points without a flag.
     if let Err(e) = qual_faultpoint::install_from_env() {
         eprintln!("cquald: {e}");
         return ExitCode::from(2);

@@ -41,10 +41,11 @@
 //! other byte is malformed too, even under a valid checksum.
 //!
 //! Fault points (`qual-faultpoint`): `proto.read`, `proto.write` —
-//! `io` fails the operation, `garbage` corrupts the payload in flight
-//! (the checksum must catch it), `panic` kills the calling thread
-//! (the server's connection supervisor must contain it). Disabled cost
-//! is one relaxed atomic load per frame, like every other point.
+//! `io` fails the read or write with an I/O error, as a socket can,
+//! and the caller takes the path a real failure takes; `panic` kills
+//! the calling thread (the server's connection supervisor must contain
+//! it). Disabled cost is one relaxed atomic load per frame, like every
+//! other point.
 
 use std::io::{Read, Write};
 
@@ -542,55 +543,16 @@ fn decode_payload(kind: u32, payload: &[u8]) -> Result<Frame, ProtoError> {
 ///
 /// # Errors
 ///
-/// Socket I/O failure, or an injected `proto.write` fault.
+/// Socket I/O failure, an injected `proto.write` fault among them.
 ///
 /// # Panics
 ///
 /// When the installed fault plan arms a `panic` at `proto.write` —
-/// that is the simulated fault; supervisors contain it.
+/// that is the simulated bug; supervisors contain it.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtoError> {
-    let (kind, mut payload) = encode_payload(frame);
-    // Checksum describes what the writer *means* to send; an injected
-    // `garbage` fault below corrupts the bytes after checksumming,
-    // exactly like bit rot on the socket, so the reader must reject.
+    let (kind, payload) = encode_payload(frame);
     let checksum = wire::checksum(&kind.to_le_bytes(), &payload);
-    match qual_faultpoint::hit("proto.write") {
-        Some(qual_faultpoint::FaultKind::Io | qual_faultpoint::FaultKind::ShortWrite) => {
-            return Err(ProtoError::Io(std::io::Error::other(
-                "injected fault at proto.write",
-            )));
-        }
-        Some(qual_faultpoint::FaultKind::Panic) => {
-            panic!("injected panic at proto.write")
-        }
-        Some(qual_faultpoint::FaultKind::Garbage) => {
-            for (i, b) in payload.iter_mut().enumerate() {
-                if i % 5 == 2 {
-                    *b ^= 0x5a;
-                }
-            }
-            if payload.is_empty() {
-                // Nothing to garble in the payload: corrupt the header
-                // checksum itself instead so the fault always bites.
-                return write_raw(w, kind, checksum ^ 0x5a5a, &payload);
-            }
-        }
-        Some(qual_faultpoint::FaultKind::DiskFull) => {
-            return Err(ProtoError::Io(std::io::Error::other(
-                "injected disk full at proto.write (ENOSPC)",
-            )));
-        }
-        _ => {}
-    }
-    // Environment machine: a socket/pipe write can hit ENOSPC too when
-    // the transport is file-backed; charge the whole frame.
-    if qual_faultpoint::charge_disk("proto.write", (HEADER + payload.len()) as u64)
-        .is_some()
-    {
-        return Err(ProtoError::Io(std::io::Error::other(
-            "injected disk full at proto.write (ENOSPC)",
-        )));
-    }
+    qual_faultpoint::hit("proto.write")?;
     write_raw(w, kind, checksum, &payload)
 }
 
@@ -616,25 +578,14 @@ fn write_raw(
 /// # Errors
 ///
 /// Socket I/O failure (including clean EOF, which is `Io` with
-/// `UnexpectedEof`), a malformed or corrupted frame, or an injected
-/// `proto.read` fault.
+/// `UnexpectedEof`, and an injected `proto.read` fault), or a malformed
+/// or corrupted frame.
 ///
 /// # Panics
 ///
 /// When the installed fault plan arms a `panic` at `proto.read`.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
-    let fault = qual_faultpoint::hit("proto.read");
-    match fault {
-        Some(qual_faultpoint::FaultKind::Io | qual_faultpoint::FaultKind::ShortWrite) => {
-            return Err(ProtoError::Io(std::io::Error::other(
-                "injected fault at proto.read",
-            )));
-        }
-        Some(qual_faultpoint::FaultKind::Panic) => {
-            panic!("injected panic at proto.read")
-        }
-        _ => {}
-    }
+    qual_faultpoint::hit("proto.read")?;
     let mut header = [0u8; HEADER];
     r.read_exact(&mut header)?;
     let mut h = Reader::new(&header);
@@ -649,20 +600,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    if fault == Some(qual_faultpoint::FaultKind::Garbage) {
-        // Simulated bit rot between the peer's write and our read: the
-        // checksum below must catch it, empty payloads included.
-        if payload.is_empty() {
-            return Err(ProtoError::Malformed(
-                "frame failed its checksum".to_owned(),
-            ));
-        }
-        for (i, b) in payload.iter_mut().enumerate() {
-            if i % 5 == 2 {
-                *b ^= 0x5a;
-            }
-        }
-    }
     if wire::checksum(&kind.to_le_bytes(), &payload) != checksum {
         return Err(ProtoError::Malformed(
             "frame failed its checksum".to_owned(),
@@ -965,20 +902,5 @@ mod tests {
                 assert_eq!(format!("{back:?}"), want, "cut at {cut}");
             }
         }
-    }
-
-    #[test]
-    fn injected_garbage_on_the_wire_is_detected() {
-        let _g = qual_faultpoint::test_lock();
-        qual_faultpoint::install(
-            qual_faultpoint::FaultPlan::parse("proto.write@1=garbage").unwrap(),
-        );
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &sample_query()).unwrap();
-        qual_faultpoint::clear();
-        assert!(
-            read_frame(&mut buf.as_slice()).is_err(),
-            "garbled payload must fail its checksum"
-        );
     }
 }

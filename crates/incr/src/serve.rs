@@ -43,8 +43,9 @@
 //!   finish until a drain deadline, then stop hard. The process exit is
 //!   the hard stop — crash-only means nothing after it matters.
 //!
-//! Fault points: `serve.accept`, `serve.read`, `serve.write`,
-//! `serve.session` (see the `serve_chaos` suite).
+//! Fault points: `serve.accept` and `serve.session` here, and
+//! `proto.read`/`proto.write` in the frames this loop reads and writes
+//! (see the `serve_chaos` suite).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read};
@@ -60,7 +61,6 @@ use qual_constinfer::{
     analyze_source_with_options_in, AnalysisOutcome, Budgets, ConstCounts, Mode, Options,
     Position, PositionClass, QualCount,
 };
-use qual_faultpoint::FaultKind;
 use qual_lattice::QualSpace;
 use qual_solve::{sort_diagnostics, Diagnostic, Phase};
 
@@ -96,9 +96,6 @@ const POLL_MS: u64 = 50;
 /// Ceiling on the accept loop's EMFILE backoff (starts at `POLL_MS`,
 /// doubles per consecutive refusal).
 const EMFILE_BACKOFF_CAP_MS: u64 = 400;
-/// How long admission keeps shedding after an fd-table refusal; long
-/// enough for in-flight connections to close and return descriptors.
-const FD_PRESSURE_WINDOW_MS: u64 = 500;
 /// How long `stop` waits for a service thread to finish after it was
 /// told to, before detaching it.
 const JOIN_PATIENCE: Duration = Duration::from_millis(500);
@@ -277,8 +274,8 @@ struct ServeStats {
     conns_closed: AtomicU64,
     conn_panics: AtomicU64,
     socket_stolen: AtomicU64,
-    /// Connections refused because the fd table was exhausted (real
-    /// EMFILE from accept(2) or an injected `fds:` budget denial).
+    /// Accepts refused because the fd table was exhausted: EMFILE from
+    /// accept(2), or injected at `serve.accept`.
     accept_emfile: AtomicU64,
 }
 
@@ -366,13 +363,6 @@ struct Shared {
     inflight: AtomicU32,
     /// Milliseconds the most recent job took; seeds overload hints.
     last_service_ms: AtomicU64,
-    /// Process-relative clock base for the fd-pressure window (an
-    /// `Instant` cannot live in an atomic, so the window is stored as
-    /// milliseconds on this clock).
-    started: Instant,
-    /// Millis on `started`'s clock until which admission sheds load
-    /// because the fd table was exhausted; 0 means no pressure.
-    fd_pressure_until_ms: AtomicU64,
 }
 
 fn begin_drain(shared: &Shared) {
@@ -448,8 +438,6 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         hard_stop: AtomicBool::new(false),
         inflight: AtomicU32::new(0),
         last_service_ms: AtomicU64::new(0),
-        started: Instant::now(),
-        fd_pressure_until_ms: AtomicU64::new(0),
     });
     if stolen {
         shared.stats.socket_stolen.store(1, Ordering::SeqCst);
@@ -481,101 +469,47 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
 // Accept loop and supervised connections
 // ---------------------------------------------------------------------------
 
-/// Records one fd-table refusal: bumps counters, opens the admission
-/// pressure window, and returns how long the accept loop should back
-/// off (exponential on the consecutive-refusal streak, bounded so a
-/// recovering fd table is noticed within half a second).
-fn note_fd_pressure(shared: &Shared, streak: u32) -> Duration {
-    shared.stats.accept_emfile.fetch_add(1, Ordering::SeqCst);
-    qual_obs::count("serve.accept_emfile", 1);
-    let now_ms = shared.started.elapsed().as_millis() as u64;
-    shared
-        .fd_pressure_until_ms
-        .store(now_ms + FD_PRESSURE_WINDOW_MS, Ordering::SeqCst);
-    Duration::from_millis((POLL_MS << streak.min(3)).min(EMFILE_BACKOFF_CAP_MS))
-}
-
-/// Whether the fd-pressure window opened by [`note_fd_pressure`] is
-/// still running; while it is, admission sheds with `Overloaded`
-/// instead of queueing work whose reply may have no descriptor to
-/// travel over.
-fn under_fd_pressure(shared: &Shared) -> bool {
-    let until = shared.fd_pressure_until_ms.load(Ordering::SeqCst);
-    until != 0 && (shared.started.elapsed().as_millis() as u64) < until
-}
-
 fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
     let mut incarnation = 0u64;
     let mut emfile_streak = 0u32;
     while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => {
-                // The drain's wake connection (or a client that raced
-                // it): not served, fd-charged or counted.
-                break;
-            }
+        let accepted = match listener.accept() {
+            // The drain's wake connection (or a client that raced it):
+            // not served or counted.
+            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
-                if qual_faultpoint::take_fd("serve.accept").is_some() {
-                    // Injected fd-table exhaustion: the kernel would
-                    // have refused this descriptor with EMFILE, so the
-                    // connection is shed and the loop backs off exactly
-                    // as the real-EMFILE arm below does.
-                    drop(stream);
-                    let pause = note_fd_pressure(shared, emfile_streak);
-                    emfile_streak = emfile_streak.saturating_add(1);
-                    thread::sleep(pause);
-                    continue;
-                }
-                emfile_streak = 0;
                 incarnation += 1;
                 // Per-connection setup is supervised: a panic here
                 // (e.g. the `serve.accept` fault) costs one connection,
-                // never the accept loop.
-                let panicked = catch_unwind(AssertUnwindSafe(|| {
-                    match qual_faultpoint::hit("serve.accept") {
-                        Some(FaultKind::Panic) => {
-                            panic!("injected panic at serve.accept (conn {incarnation})")
-                        }
-                        Some(
-                            FaultKind::Io
-                            | FaultKind::ShortWrite
-                            | FaultKind::Garbage
-                            | FaultKind::DiskFull
-                            | FaultKind::AllocFail,
-                        ) => {
-                            // The connection is dropped on the floor, as
-                            // a failed accept(2) would.
-                            qual_obs::count("serve.accept_faults", 1);
-                            qual_faultpoint::release_fd();
-                        }
-                        Some(FaultKind::FdExhausted) => {
-                            // Rule-injected EMFILE (`serve.accept@N=
-                            // fd-exhausted`): shed and open the pressure
-                            // window like a charge-based denial.
-                            qual_obs::count("serve.accept_faults", 1);
-                            qual_faultpoint::release_fd();
-                            let _ = note_fd_pressure(shared, 0);
-                        }
-                        Some(FaultKind::Delay(_)) | None => {
-                            spawn_conn(shared, stream, incarnation);
-                        }
-                    }
+                // never the accept loop. An injected `serve.accept`
+                // error stands for a failed accept(2): the connection
+                // is dropped unserved, and the error takes the arms
+                // below.
+                catch_unwind(AssertUnwindSafe(|| {
+                    qual_faultpoint::hit("serve.accept")?;
+                    spawn_conn(shared, stream, incarnation);
+                    Ok(())
                 }))
-                .is_err();
-                if panicked {
+                .unwrap_or_else(|_| {
                     shared.stats.conn_panics.fetch_add(1, Ordering::SeqCst);
-                    // The stream died inside the supervised block, so
-                    // its descriptor is already back.
-                    qual_faultpoint::release_fd();
-                }
+                    Ok(())
+                })
             }
-            Err(e) if e.raw_os_error() == Some(24) => {
-                // Real EMFILE: the process is out of descriptors. Shed
-                // with bounded exponential backoff until connections
-                // close and the table drains; never spin, never die.
-                let pause = note_fd_pressure(shared, emfile_streak);
+            Err(e) => Err(e),
+        };
+        match accepted {
+            Ok(()) => emfile_streak = 0,
+            Err(e) if e.raw_os_error() == Some(qual_faultpoint::EMFILE) => {
+                // The process is out of descriptors. Back off
+                // exponentially, bounded so a recovering fd table is
+                // noticed within `EMFILE_BACKOFF_CAP_MS`, until
+                // connections close and the table drains; never spin,
+                // never die.
+                shared.stats.accept_emfile.fetch_add(1, Ordering::SeqCst);
+                qual_obs::count("serve.accept_emfile", 1);
+                let pause = (POLL_MS << emfile_streak.min(3)).min(EMFILE_BACKOFF_CAP_MS);
                 emfile_streak = emfile_streak.saturating_add(1);
-                thread::sleep(pause);
+                thread::sleep(Duration::from_millis(pause));
             }
             Err(_) => {
                 shared.stats.errors.fetch_add(1, Ordering::SeqCst);
@@ -599,22 +533,18 @@ fn spawn_conn(shared: &Arc<Shared>, stream: UnixStream, incarnation: u64) {
     let spawned = thread::Builder::new()
         .name(format!("serve-conn-{incarnation}"))
         .spawn(move || {
-            let panicked =
-                catch_unwind(AssertUnwindSafe(|| run_conn(&sh, &stream, incarnation)))
-                    .is_err();
+            let panicked = catch_unwind(AssertUnwindSafe(|| run_conn(&sh, &stream))).is_err();
             if panicked {
                 sh.stats.conn_panics.fetch_add(1, Ordering::SeqCst);
                 qual_obs::count("serve.conn_panics", 1);
             }
             let _ = stream.shutdown(std::net::Shutdown::Both);
             unregister_conn(&sh, incarnation);
-            qual_faultpoint::release_fd();
         });
     if spawned.is_err() {
         // Thread exhaustion: shed this connection, keep serving.
         shared.stats.errors.fetch_add(1, Ordering::SeqCst);
         unregister_conn(shared, incarnation);
-        qual_faultpoint::release_fd();
     }
 }
 
@@ -690,7 +620,7 @@ impl Read for FrameReader<'_> {
     }
 }
 
-fn run_conn(shared: &Shared, stream: &UnixStream, incarnation: u64) {
+fn run_conn(shared: &Shared, stream: &UnixStream) {
     // A reply must not block forever on a stuffed pipe either.
     let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     loop {
@@ -698,23 +628,6 @@ fn run_conn(shared: &Shared, stream: &UnixStream, incarnation: u64) {
             FirstByte::Byte(b) => b,
             FirstByte::Done => return,
         };
-        match qual_faultpoint::hit("serve.read") {
-            Some(FaultKind::Panic) => {
-                panic!("injected panic at serve.read (conn {incarnation})")
-            }
-            Some(
-                FaultKind::Io
-                | FaultKind::ShortWrite
-                | FaultKind::Garbage
-                | FaultKind::DiskFull
-                | FaultKind::FdExhausted
-                | FaultKind::AllocFail,
-            ) => {
-                qual_obs::count("serve.read_faults", 1);
-                return;
-            }
-            Some(FaultKind::Delay(_)) | None => {}
-        }
         if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
             return;
         }
@@ -751,21 +664,6 @@ fn run_conn(shared: &Shared, stream: &UnixStream, incarnation: u64) {
 }
 
 fn write_reply(stream: &UnixStream, frame: &Frame) -> Result<(), ()> {
-    match qual_faultpoint::hit("serve.write") {
-        Some(FaultKind::Panic) => panic!("injected panic at serve.write"),
-        Some(
-            FaultKind::Io
-            | FaultKind::ShortWrite
-            | FaultKind::Garbage
-            | FaultKind::DiskFull
-            | FaultKind::FdExhausted
-            | FaultKind::AllocFail,
-        ) => {
-            qual_obs::count("serve.write_faults", 1);
-            return Err(());
-        }
-        Some(FaultKind::Delay(_)) | None => {}
-    }
     let mut writer = stream;
     proto::write_frame(&mut writer, frame).map_err(|_| ())
 }
@@ -867,16 +765,6 @@ fn serve_analyze(shared: &Shared, req: AnalyzeReq, fresh: bool) -> Frame {
             warm.warm = true;
             return Frame::Report(Box::new(warm));
         }
-    }
-    if under_fd_pressure(shared) {
-        // The fd table just refused a connection: queueing more work
-        // now only deepens the backlog while replies may have no
-        // descriptor to travel over. Shed with the same structured
-        // Overloaded the full queue uses; the window closes by itself.
-        shared.stats.shed.fetch_add(1, Ordering::SeqCst);
-        qual_obs::count("serve.shed", 1);
-        let depth = lock(&shared.queue).jobs.len();
-        return overloaded_reply(shared, depth);
     }
     let deadline_ms = req.deadline_ms.unwrap_or(REQUEST_DEADLINE_MS);
     let job = {
@@ -1006,23 +894,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<Served>, String> {
-    match qual_faultpoint::hit("serve.session") {
-        Some(FaultKind::Panic) => panic!("injected panic at serve.session"),
-        Some(
-            FaultKind::Io
-            | FaultKind::ShortWrite
-            | FaultKind::Garbage
-            | FaultKind::DiskFull
-            | FaultKind::FdExhausted
-            | FaultKind::AllocFail,
-        ) => {
-            return Err(
-                "injected session fault at serve.session; retry or run in process"
-                    .to_owned(),
-            );
-        }
-        Some(FaultKind::Delay(_)) | None => {}
-    }
+    qual_faultpoint::hit("serve.session")
+        .map_err(|e| format!("{e}; run the analysis in process"))?;
     let req = &job.req;
     let space = if req.quals.is_empty() {
         QualSpace::const_only()
@@ -1039,13 +912,6 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<Served>, String> {
         .incr
         .memory_budget_mb
         .map(|mb| qual_obs::mem::unit_budget(mb.saturating_mul(1 << 20)));
-    // Environment machine: a request's up-front allocation charge (a
-    // nominal 1 MiB arena reservation).
-    if qual_faultpoint::charge_alloc("alloc.unit", 1 << 20).is_some() {
-        return Err(
-            "allocator watermark exceeded (injected); run the analysis in process".to_owned(),
-        );
-    }
     let options = Options {
         verify_solutions: req.verify,
         ..Options::default()

@@ -257,6 +257,77 @@ fn a_closed_stdout_ends_the_report_without_a_panic() {
     assert_eq!(status.code(), full.status.code(), "{stderr}");
 }
 
+/// A stdout write that fails for any reason but a closed pipe is said
+/// once on stderr and ends the output; the run exits 1, without a
+/// panic. Skipped where `/dev/full` does not exist.
+#[test]
+fn a_failed_stdout_write_is_one_line_on_stderr_and_exit_1() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let dir = TempDir::new("dev-full");
+    dir.write("two.c", "int f(char *p) { return *p; }\nint g(char *q) { return f(q); }\n");
+    let out = Command::new(env!("CARGO_BIN_EXE_cqual"))
+        .arg(dir.0.join("two.c"))
+        .stdout(full)
+        .output()
+        .expect("spawn cqual");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("cqual: cannot write output: "), "{stderr}");
+}
+
+/// `--rewrite` in poly and polyrec re-runs the engine in mono for the
+/// rewritten text; the metrics document still describes the report's
+/// run alone, so every `analysis.*` and `cgen.*` counter equals the
+/// same run's without `--rewrite`.
+#[test]
+fn rewrite_leaves_the_report_runs_metrics_unchanged() {
+    let dir = TempDir::new("rewrite-metrics");
+    dir.write("two.c", "int f(char *p) { return *p; }\nint g(char *q) { return f(q); }\n");
+    let file = dir.0.join("two.c");
+    let file = file.to_str().unwrap();
+    let counters = |mode: &str, extra: &[&str], name: &str| {
+        let path = dir.0.join(name);
+        let args: Vec<&str> = ["--mode", mode, "--metrics", path.to_str().unwrap()]
+            .into_iter()
+            .chain(extra.iter().copied())
+            .chain([file])
+            .collect();
+        assert_eq!(cqual(&args).status.code(), Some(0), "{args:?}");
+        let doc = qual_obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let Some(qual_obs::json::Json::Obj(fields)) = doc.get("counters").cloned() else {
+            panic!("{mode}: no counters object");
+        };
+        fields
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("analysis.") || k.starts_with("cgen."))
+            .collect::<Vec<_>>()
+    };
+    for mode in ["mono", "poly", "polyrec"] {
+        let plain = counters(mode, &[], "plain.json");
+        assert!(!plain.is_empty(), "{mode}");
+        let rewrite = counters(mode, &["--rewrite"], "rewrite.json");
+        assert_eq!(rewrite, plain, "{mode}");
+    }
+}
+
+/// The retired plan clauses (`seed:`, `disk:`, `fds:`, `alloc:`) are
+/// malformed: a plan that used them exits 2 and names the clause
+/// instead of silently arming nothing.
+#[test]
+fn a_retired_fault_plan_clause_is_a_usage_error() {
+    let dir = TempDir::new("retired-plan");
+    dir.write("f.c", "int f(const char *s) { return *s; }\n");
+    let f = dir.0.join("f.c");
+    let out = cqual(&["--fault-plan", "disk:1024", f.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"disk:1024\""), "{stderr}");
+}
+
 /// `--jobs`, `--cache-dir` and `--cache-stats` selected the removed
 /// unit driver; every value of them is a usage error now, like any
 /// unknown flag.
@@ -481,7 +552,7 @@ fn exit_code_table_is_exhaustive_and_stable() {
     let cert = cqual(&[
         "--verify",
         "--fault-plan",
-        "verify.cert@1=garbage",
+        "verify.cert@1=io",
         clean,
     ]);
     assert_eq!(
@@ -559,8 +630,8 @@ fn unwritable_metrics_path_warns_but_does_not_change_exit_code() {
 }
 
 /// The metrics file is written atomically (temp + rename): a write that
-/// fails mid-flight — here an injected ENOSPC at the `metrics.write`
-/// fault point — must leave the previous complete document untouched,
+/// fails — here an injected I/O error at the `metrics.write` fault
+/// point — must leave the previous complete document untouched,
 /// never a torn prefix, never a stray temp file, and never change the
 /// exit code.
 #[test]
@@ -582,13 +653,13 @@ fn failed_metrics_write_preserves_previous_document_and_exit_code() {
     // Re-run with the metrics write denied.
     let faulted = Command::new(env!("CARGO_BIN_EXE_cqual"))
         .args(["--metrics", out_path.to_str().unwrap(), src.to_str().unwrap()])
-        .env("QUAL_FAULT_PLAN", "metrics.write@1=disk-full")
+        .env("QUAL_FAULT_PLAN", "metrics.write@1=io")
         .output()
         .expect("spawn cqual");
     assert_eq!(
         faulted.status.code(),
         Some(0),
-        "a full disk at metrics-write time must not change the exit code"
+        "a failed metrics write must not change the exit code"
     );
     let stderr = String::from_utf8_lossy(&faulted.stderr);
     assert!(stderr.contains("metrics"), "{stderr}");
@@ -611,7 +682,7 @@ fn failed_metrics_write_preserves_previous_document_and_exit_code() {
     let fresh_path = dir.0.join("fresh-metrics.json");
     let faulted = Command::new(env!("CARGO_BIN_EXE_cqual"))
         .args(["--metrics", fresh_path.to_str().unwrap(), src.to_str().unwrap()])
-        .env("QUAL_FAULT_PLAN", "metrics.write@1=disk-full")
+        .env("QUAL_FAULT_PLAN", "metrics.write@1=io")
         .output()
         .expect("spawn cqual");
     assert_eq!(faulted.status.code(), Some(0));

@@ -20,10 +20,13 @@
 //! * an engine panic (the `unit.solve` fault point) inside the daemon
 //!   costs its one request: the client prints plain's bytes plus one
 //!   note, and the daemon serves the next request;
-//! * a seed-derived fault plan over every `serve.*` point still yields
-//!   byte-identical client output, wherever the faults land;
+//! * a request over the daemon's `--memory-budget-mb` is refused every
+//!   time it is sent, and the client prints plain's bytes plus one note;
+//! * a seed-derived fault plan over the daemon's fault points still
+//!   yields byte-identical client output, wherever the faults land;
 //! * pinned `proto.read`/`proto.write` faults on the daemon's frames
-//!   (failed and garbled reads and writes) do the same.
+//!   (failed reads and writes, and panics in the connection thread)
+//!   do the same.
 //!
 //! Daemon stderr goes to per-test log files under `QUAL_SERVE_LOG_DIR`
 //! (default: the system temp dir) so CI can upload them on failure.
@@ -105,11 +108,9 @@ impl Daemon {
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::from(logfile));
-        // Hermetic fault control: CI exports QUAL_FAULT_SEED for the
-        // whole job, but only the seeded test's *derived plan* may arm
-        // a daemon — an inherited bare seed would also fault the
-        // analysis internals and change the baseline bytes.
-        cmd.env_remove("QUAL_FAULT_PLAN").env_remove("QUAL_FAULT_SEED");
+        // Hermetic fault control: only a test's own plan may arm a
+        // daemon.
+        cmd.env_remove("QUAL_FAULT_PLAN");
         for (k, v) in envs {
             cmd.env(k, v);
         }
@@ -161,11 +162,10 @@ impl Drop for Daemon {
 fn cqual(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cqual"))
         .args(args)
-        // Clients stay fault-free even when CI seeds the job env: the
-        // chaos under test lives in the daemon, and the in-process
-        // fallback must reproduce the clean baseline.
+        // Clients stay fault-free: the chaos under test lives in the
+        // daemon, and the in-process fallback must reproduce the clean
+        // baseline.
         .env_remove("QUAL_FAULT_PLAN")
-        .env_remove("QUAL_FAULT_SEED")
         .output()
         .expect("spawn cqual")
 }
@@ -671,20 +671,59 @@ fn an_engine_panic_costs_one_request_not_the_daemon() {
     assert_eq!(stat(&stats, "serve.session_panics"), 1, "{stats:?}");
 }
 
+/// `cquald --memory-budget-mb` bounds one request's gross allocation,
+/// measured by the tracking allocator. One 8,000-statement function
+/// overruns 1 MiB, so the daemon refuses the request every time: the
+/// memo keeps nothing, and each client analyzes in process and prints
+/// plain `cqual`'s bytes plus one note.
+#[test]
+fn a_request_over_the_memory_budget_is_refused_every_time() {
+    let dir = TempDir::new("memory-budget");
+    let big: String = (0..8000).map(|i| format!("  q[{i}] = p[{i}];\n")).collect();
+    let file = dir.write(
+        "m.c",
+        &format!(
+            "int small(const char *s) {{ return s[0]; }}\n\
+             void big(int *p, int *q) {{\n{big}}}\n\
+             int other(char *t) {{ return small(t); }}\n"
+        ),
+    );
+    let socket = dir.path("d.sock");
+    let _daemon = Daemon::spawn("memory-budget", &socket, &["--memory-budget-mb", "1"], &[]);
+    let plain = cqual(&[file.to_str().unwrap()]);
+    assert_eq!(plain.status.code(), Some(0));
+    for round in ["first", "repeat"] {
+        let out = connect_run(&socket, &file);
+        assert_eq!(comparable(&out), comparable(&plain), "{round}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1
+                && stderr.contains("memory budget exceeded")
+                && stderr.ends_with("analyzing in process instead\n"),
+            "{round}: one note on stderr: {stderr}"
+        );
+    }
+    let stats = serve::request_stats(&Connect::new(socket)).expect("stats");
+    assert_eq!(stat(&stats, "serve.requests"), 2, "{stats:?}");
+    assert_eq!(stat(&stats, "serve.warm_hits"), 0, "{stats:?}");
+    assert_eq!(stat(&stats, "serve.analyzed"), 0, "{stats:?}");
+    assert_eq!(stat(&stats, "serve.errors"), 2, "{stats:?}");
+}
+
 #[test]
 fn seeded_serve_faults_still_yield_byte_identical_output() {
-    // CI pins QUAL_FAULT_SEED per matrix leg; locally any seed must
+    // CI pins QUAL_CHAOS_SEED per matrix leg; locally any seed must
     // hold. The seed only picks *where* the faults land across the
-    // serve.* points — the degradation ladder (shed, error reply,
+    // daemon's points — the degradation ladder (shed, error reply,
     // dropped connection, in-process fallback) must make every client
     // byte-identical to serial cqual no matter what.
-    let seed: u64 = std::env::var("QUAL_FAULT_SEED")
+    let seed: u64 = std::env::var("QUAL_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_260_807);
     let occ = |k: u64| seed % k + 1;
     let plan = format!(
-        "serve.accept@{}=io;serve.read@{}=garbage;serve.write@{}=short-write;serve.session@{}=io",
+        "serve.accept@{}=io;proto.read@{}=io;proto.write@{}=io;serve.session@{}=io",
         occ(3),
         occ(4) + 1,
         occ(2) + 2,
@@ -729,9 +768,9 @@ fn pinned_proto_faults_still_yield_byte_identical_output() {
     let local = baseline(&file);
     for (i, plan) in [
         "proto.read@2=io",
-        "proto.read@4=garbage",
+        "proto.read@4=panic",
         "proto.write@3=io",
-        "proto.write@2=garbage",
+        "proto.write@2=panic",
     ]
     .into_iter()
     .enumerate()

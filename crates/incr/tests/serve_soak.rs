@@ -1,29 +1,36 @@
-//! Endurance soak for `cquald` under resource-exhaustion faults
+//! Endurance soak for `cquald` under the faults it can really meet
 //! (DESIGN.md §18). Where `serve_chaos` pins single clauses of the
 //! fault model, this harness drives one daemon through thousands of
-//! mixed requests while the seeded environment machines (disk byte
-//! budget, fd table cap, allocator watermark) deny resources on a
-//! deterministic schedule, and asserts the *endurance* properties:
+//! mixed requests while its fd table runs out at accept, a frame read
+//! and a reply write fail, and one large source overruns the real
+//! per-request memory budget every time it is sent, and asserts the
+//! *endurance* properties:
 //!
+//! * **Every armed fault fires.** The run of EMFILE refusals at accept
+//!   shows in `serve.accept_emfile`; the failed read and write land on
+//!   a sequential prelude where each one's client sees it; every
+//!   request for the large source is refused over its memory budget.
 //! * **Never panic, never hang.** Every request completes (report or
 //!   structured error) inside a bound; the daemon process survives the
 //!   whole run and its panic counters stay at zero.
+//! * **Nothing shed.** Four closed-loop clients cannot fill two
+//!   workers plus a queue of eight, so `serve.shed` reads 0, and
+//!   `serve.analyzed` covers at least half of the Reanalyze requests.
 //! * **Bounded steady-state memory.** The daemon's RSS at the end of
-//!   the soak is within a fixed slack of its mid-soak RSS — repeated
-//!   degrade/heal cycles must not leak.
-//! * **Byte-identical once faults clear.** The environment machines
-//!   self-heal (a full disk "garbage collects" after a bounded denial
-//!   streak), and after they do, every source must produce exactly the
-//!   frames a clean daemon produced — the memo and the resident report
-//!   both recover, nothing stays poisoned.
+//!   the soak is within a fixed slack of its mid-soak RSS — thousands
+//!   of requests and refusals must not leak.
+//! * **Byte-identical afterwards.** Once the soak is over, every source
+//!   must produce exactly the frames a clean daemon produced — the memo
+//!   and the resident report both recover, nothing stays poisoned.
 //! * **Clean drain.** Both daemons exit 0 on a Shutdown frame and
 //!   remove their socket files.
 //!
 //! Knobs: `QUAL_SOAK_REQUESTS` (total mixed requests, default 2400,
 //! min 2000 enforced here) and `QUAL_SOAK_SEED` (schedule seed,
-//! default 20260807). A summary document is written next to the daemon
-//! logs (`QUAL_SERVE_LOG_DIR`) so CI can archive the run; without that
-//! variable, a daemon's log is deleted when the test passes.
+//! default 20260807). With `QUAL_SERVE_LOG_DIR` set, a summary document
+//! is written next to the daemon logs there so CI can archive the run;
+//! without it, a passing run leaves neither the summary nor a daemon's
+//! log behind.
 
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -44,7 +51,8 @@ use qual_incr::serve::{self, ClientError, Connect};
 static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
 
 /// Distinct sources so the memo and dedup see real variety; each
-/// defines a function the QueryQual phase can target.
+/// defines a function the QueryQual phase can target. The soak adds
+/// [`big_source`] as a seventh.
 const SOURCES: [&str; 6] = [
     "int leaf(const char *s) { return *s; }\n\
      int mid(char *p) { return leaf(p); }\n",
@@ -57,6 +65,18 @@ const SOURCES: [&str; 6] = [
      int peek(const char *d) { return d[0]; }\n",
     "int sum3(const int *xs) { return xs[0] + xs[1] + xs[2]; }\n",
 ];
+
+/// One 8,000-statement function: its analysis allocates well over the
+/// soaked daemon's 1 MiB per-request budget, which the small sources
+/// never approach.
+fn big_source() -> String {
+    let body: String = (0..8000).map(|i| format!("  q[{i}] = p[{i}];\n")).collect();
+    format!("void big(int *p, int *q) {{\n{body}}}\n")
+}
+
+/// Consecutive `serve.accept` hits refused with EMFILE: one episode,
+/// over which the accept loop's backoff doubles.
+const EMFILE_RUN: u64 = 4;
 
 struct TempDir(PathBuf);
 
@@ -104,10 +124,8 @@ impl Daemon {
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::from(logfile));
-        // Only this test's explicit env plan may arm a daemon; a bare
-        // CI-exported seed would also fault the analysis internals and
-        // change the baseline bytes.
-        cmd.env_remove("QUAL_FAULT_PLAN").env_remove("QUAL_FAULT_SEED");
+        // Only this test's own plan may arm a daemon.
+        cmd.env_remove("QUAL_FAULT_PLAN");
         for (k, v) in envs {
             cmd.env(k, v);
         }
@@ -258,53 +276,65 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
         .collect();
     daemon_a.drain();
 
-    // ---- Phase 2: env-faulted daemon, the mixed-request soak --------
-    // The machines are seeded into ranges where the disk and fd ones
-    // bite: the disk budget fills after tens of replies (charged at
-    // `proto.write`), and the fd table caps below the client
-    // concurrency. The allocator watermark is charged 1 MiB per
-    // analyzed request and refuses requests once it fills. Every
-    // machine garbage-collects after a short denial streak, so the
-    // faults clear on their own — that recovery is what phase 3 pins.
-    // One explicit rule guarantees the EMFILE accept path runs even if
-    // the seeded fd cap never trips.
-    let gc = 4 + splitmix(seed) % 5; // 4..=8
-    let disk_cap = 64 * 1024 + splitmix(seed ^ 1) % (192 * 1024); // 64..=256 KiB
-    // The fd cap sits just above the client concurrency: steady state
-    // fits, bursts (and the injected occurrences below) trip EMFILE
-    // *episodes* rather than a perpetual outage.
-    let fd_cap = 6 + splitmix(seed ^ 2) % 4; // 6..=9
-    let alloc_cap = (64 + splitmix(seed ^ 3) % 192) * (1 << 20); // 64..=256 MiB
-    let emfile_a = 100 + splitmix(seed ^ 4) % 200;
-    let emfile_b = 700 + splitmix(seed ^ 5) % 400;
-    let plan = format!(
-        "disk:{disk_cap}:{gc};fds:{fd_cap}:{gc};alloc:{alloc_cap}:{gc};\
-         serve.accept@3=fd-exhausted;serve.accept@{emfile_a}=fd-exhausted;\
-         serve.accept@{emfile_b}=fd-exhausted"
-    );
+    // ---- Phase 2: faulted daemon, the mixed-request soak ------------
+    // Only faults the daemon can really meet are armed:
+    // * a run of consecutive EMFILE refusals at accept, placed by the
+    //   seed among the soak's first few hundred connections;
+    // * a failed frame read and a failed reply write, on the 2nd and
+    //   4th request of the sequential prelude below;
+    // * a real 1 MiB per-request memory budget, which the large source
+    //   overruns on every request.
+    let emfile_at = 100 + splitmix(seed ^ 4) % 400;
+    let plan = std::iter::once("proto.read@2=io;proto.write@4=io".to_owned())
+        .chain((0..EMFILE_RUN).map(|k| format!("serve.accept@{}=fd-exhausted", emfile_at + k)))
+        .collect::<Vec<_>>()
+        .join(";");
     let mut daemon = Daemon::spawn(
         "soak-faulted",
         &socket,
         &[
             "--max-inflight",
             "2",
+            "--queue-cap",
+            "8",
             "--memory-budget-mb",
-            "512",
+            "1",
         ],
         &[("QUAL_FAULT_PLAN", plan.as_str())],
     );
 
+    // The prelude: five Stats probes, one at a time, so the daemon's
+    // frame reads and reply writes are numbered by request. The 2nd
+    // request's read fails, and the daemon says so; the 4th request's
+    // reply write fails, and its client finds the connection closed.
+    for i in 1..=5 {
+        let probe = serve::request_stats(&conn);
+        match (i, &probe) {
+            (2, Err(ClientError::Server(msg))) if msg.contains("injected fault at proto.read") => {}
+            (4, Err(ClientError::Unavailable(_))) | (1 | 3 | 5, Ok(_)) => {}
+            _ => panic!("prelude request {i} under plan {plan}: {probe:?}"),
+        }
+    }
+
     const CLIENTS: u64 = 4;
+    let big: Arc<str> = big_source().into();
     let progress = Arc::new(AtomicU64::new(0));
     let ok_count = Arc::new(AtomicU64::new(0));
     let err_count = Arc::new(AtomicU64::new(0));
+    let reanalyzed = Arc::new(AtomicU64::new(0));
+    let big_refused = Arc::new(AtomicU64::new(0));
+    let big_served = Arc::new(AtomicU64::new(0));
     let per_client = total / CLIENTS;
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
             let socket = socket.clone();
+            let big = Arc::clone(&big);
             let progress = Arc::clone(&progress);
             let ok_count = Arc::clone(&ok_count);
             let err_count = Arc::clone(&err_count);
+            let reanalyzed = Arc::clone(&reanalyzed);
+            let big_refused = Arc::clone(&big_refused);
+            let big_served = Arc::clone(&big_served);
             std::thread::spawn(move || {
                 // Short retry budget: a shed request surfaces as a
                 // structured error instead of stretching the soak.
@@ -315,16 +345,20 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
                 };
                 for i in 0..per_client {
                     let roll = splitmix(seed ^ (c << 32) ^ i);
-                    let src = SOURCES[(roll % SOURCES.len() as u64) as usize];
+                    let pick = (roll % (SOURCES.len() as u64 + 1)) as usize;
+                    let src = SOURCES.get(pick).copied().unwrap_or(&*big);
                     let started = Instant::now();
-                    let outcome: Result<(), ClientError> = match roll % 10 {
+                    let kind = roll % 10;
+                    let outcome: Result<(), ClientError> = match kind {
                         // 50% Analyze (mostly memo-warm), 20% Reanalyze
                         // (forces a fresh analysis), then queries,
                         // explains, and stats probes.
                         0..=4 => serve::request_analyze(&conn, &analyze_req(src))
                             .map(|_| ()),
-                        5 | 6 => serve::request_reanalyze(&conn, &analyze_req(src))
-                            .map(|_| ()),
+                        5 | 6 => {
+                            reanalyzed.fetch_add(1, Ordering::Relaxed);
+                            serve::request_reanalyze(&conn, &analyze_req(src)).map(|_| ())
+                        }
                         7 => serve::request_query(&conn, "leaf", Some(0), 1)
                             .map(|_| ()),
                         8 => serve::request_explain(&conn).map(|_| ()),
@@ -336,6 +370,17 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
                         started.elapsed() < Duration::from_secs(30),
                         "request {i} on client {c} took too long"
                     );
+                    if kind <= 6 && pick == SOURCES.len() {
+                        match &outcome {
+                            Ok(()) => big_served.fetch_add(1, Ordering::Relaxed),
+                            Err(ClientError::Server(msg))
+                                if msg.contains("memory budget exceeded") =>
+                            {
+                                big_refused.fetch_add(1, Ordering::Relaxed)
+                            }
+                            Err(_) => 0,
+                        };
+                    }
                     match outcome {
                         Ok(()) => ok_count.fetch_add(1, Ordering::Relaxed),
                         Err(_) => err_count.fetch_add(1, Ordering::Relaxed),
@@ -364,50 +409,61 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
     }
     let rss_end = daemon.rss_bytes();
     assert!(daemon.alive(), "daemon died during the soak (plan {plan})");
-
-    // ---- Phase 3: faults cleared, byte-identical recovery -----------
-    // The machines heal after bounded denial streaks; a few Reanalyze
-    // rounds per source flush any faulted report out of the memo and
-    // the resident report. Once one clean round matches the baseline,
-    // the *very next* Analyze must match too (the memo healed), and so
-    // must the resident explain text.
     let conn = Connect::new(socket.clone());
+    let soaked = serve::request_stats(&conn).expect("soak stats");
+
+    // ---- Phase 3: byte-identical after the soak ---------------------
+    // Every armed fault has fired by now. A fresh analysis of each
+    // source must equal the clean daemon's, the very next Analyze must
+    // answer it from the memo, and the resident explain text must
+    // match too: nothing the faults touched stays poisoned.
     for (i, (src, base)) in SOURCES.iter().zip(&baselines).enumerate() {
-        let mut healed = false;
-        for _attempt in 0..200 {
-            if let Ok(rep) = serve::request_reanalyze(&conn, &analyze_req(src)) {
-                if normalized(rep) == base.report {
-                    healed = true;
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            healed,
-            "source {i} never recovered the baseline report (plan {plan})"
+        let fresh = serve::request_reanalyze(&conn, &analyze_req(src))
+            .expect("post-soak reanalyze");
+        assert_eq!(
+            normalized(fresh),
+            base.report,
+            "source {i}: the report diverged from the clean daemon's (plan {plan})"
         );
         let warm = serve::request_analyze(&conn, &analyze_req(src))
-            .expect("post-recovery analyze");
+            .expect("post-soak analyze");
+        assert!(warm.warm, "source {i}: the memo did not keep the fresh report");
         assert_eq!(
             normalized(warm),
             base.report,
-            "source {i}: memo still poisoned after recovery (plan {plan})"
+            "source {i}: memo poisoned after the soak (plan {plan})"
         );
-        let explain = serve::request_explain(&conn).expect("post-recovery explain");
+        let explain = serve::request_explain(&conn).expect("post-soak explain");
         assert_eq!(
             explain, base.explain,
-            "source {i}: resident explain diverged after recovery"
+            "source {i}: resident explain diverged after the soak"
         );
     }
 
-    // Never-panic, plus the soak actually exercised the fault paths.
+    // Never-panic, and every armed fault fired.
     let stats = serve::request_stats(&conn).expect("final stats");
     assert_eq!(stat(&stats, "serve.session_panics"), 0, "{stats:?}");
     assert_eq!(stat(&stats, "serve.conn_panics"), 0, "{stats:?}");
+    let emfile = stat(&soaked, "serve.accept_emfile");
     assert!(
-        stat(&stats, "serve.accept_emfile") >= 1,
-        "the EMFILE accept path never ran: {stats:?}"
+        emfile >= EMFILE_RUN,
+        "{emfile} of {EMFILE_RUN} EMFILE refusals fired (plan {plan})"
+    );
+    let big_refused = big_refused.load(Ordering::Relaxed);
+    assert_eq!(
+        big_served.load(Ordering::Relaxed),
+        0,
+        "a request over the memory budget was served"
+    );
+    assert!(big_refused >= 1, "the memory budget never refused a request");
+    // Nothing shed, and the Reanalyze traffic reached the engine.
+    let shed = stat(&soaked, "serve.shed");
+    let analyzed = stat(&soaked, "serve.analyzed");
+    let reanalyzed = reanalyzed.load(Ordering::Relaxed);
+    assert_eq!(shed, 0, "{soaked:?}");
+    assert!(
+        2 * analyzed >= reanalyzed,
+        "{analyzed} analyses for {reanalyzed} Reanalyze requests: {soaked:?}"
     );
     let ok = ok_count.load(Ordering::Relaxed);
     let err = err_count.load(Ordering::Relaxed);
@@ -423,22 +479,20 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
         "{{\n  \"seed\": {seed},\n  \"plan\": \"{plan}\",\n  \
          \"requests\": {},\n  \"ok\": {ok},\n  \"errors\": {err},\n  \
          \"rss_mid_bytes\": {},\n  \"rss_end_bytes\": {},\n  \
-         \"accept_emfile\": {},\n  \"shed\": {},\n  \"analyzed\": {}\n}}\n",
+         \"accept_emfile\": {emfile},\n  \"shed\": {shed},\n  \
+         \"reanalyze_requests\": {reanalyzed},\n  \"analyzed\": {analyzed},\n  \
+         \"budget_refusals\": {big_refused}\n}}\n",
         CLIENTS * per_client,
         rss_mid.unwrap_or(0),
         rss_end.unwrap_or(0),
-        stat(&stats, "serve.accept_emfile"),
-        stat(&stats, "serve.shed"),
-        stat(&stats, "serve.analyzed"),
     );
-    let _ = std::fs::write(
-        log_dir().join(format!("soak-summary-{seed}.json")),
-        summary,
-    );
+    if std::env::var_os("QUAL_SERVE_LOG_DIR").is_some() {
+        let _ = std::fs::write(log_dir().join(format!("soak-summary-{seed}.json")), summary);
+    }
 
-    // Bounded steady-state memory: the whole second half of the soak —
-    // thousands of degrade/heal cycles — may not grow the daemon by
-    // more than a fixed slack over its midpoint footprint.
+    // Bounded steady-state memory: the whole second half of the soak
+    // may not grow the daemon by more than a fixed slack over its
+    // midpoint footprint.
     if let (Some(mid), Some(end)) = (rss_mid, rss_end) {
         assert!(
             end <= mid + 64 * 1024 * 1024,
