@@ -764,7 +764,7 @@ impl<'a> Engine<'a> {
     /// makes every analysis loop terminate on adversarial input.
     ///
     /// This is also the engine's cooperative cancellation point: when
-    /// the worker thread's wall-clock deadline
+    /// the analyzing thread's wall-clock deadline
     /// ([`qual_faultpoint::cancel`]) fires, the current function/SCC
     /// unwinds through the very same rollback-and-exclude path a blown
     /// budget takes — partial constraints discarded, the unit reported,

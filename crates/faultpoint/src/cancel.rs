@@ -1,7 +1,8 @@
 //! Cooperative per-thread deadlines.
 //!
-//! A `cquald` worker thread installs a [`DeadlineGuard`] before
-//! analyzing a request; the engine's per-expression work accounting and
+//! The `cquald` connection thread that runs a request installs a
+//! [`DeadlineGuard`], armed with what is left of the request's deadline,
+//! before the analysis; the engine's per-expression work accounting and
 //! the solver's worklist loop poll [`expired`] at their natural step
 //! boundaries. When the wall clock passes the deadline the poll flips
 //! to `true` *sticky* — every later poll on that thread agrees — and
@@ -11,7 +12,7 @@
 //! checking, and the checks sit inside every loop the analysis can
 //! spend time in.
 //!
-//! The token is thread-local on purpose: one worker analyzes one
+//! The token is thread-local on purpose: one thread analyzes one
 //! request at a time, and a thread-local costs no synchronization on
 //! the poll fast path.
 

@@ -8,12 +8,14 @@
 //!
 //! The daemon answers each analysis request with one run of the
 //! whole-program engine plain `cqual` runs, in the mode, qualifiers and
-//! verify flag the request carries, and keeps a memo of recent reports
-//! and the last report served for position queries. It serves QSP1
-//! server frames on the unix socket. It admits a bounded amount of work
-//! and sheds the rest with structured `Overloaded` replies; it drains
-//! gracefully on SIGTERM/SIGINT or a client Shutdown frame; and because
-//! it keeps no durable state, `kill -9` at any moment loses only
+//! verify flag the request carries, on the connection thread that read
+//! the request, and keeps a memo of recent reports and the last report
+//! served for position queries. It serves QSP1 server frames on the unix
+//! socket. At most `--max-inflight` analyses (default 2) run at once,
+//! and at most `--queue-cap` more requests (default 8) wait for one to
+//! finish; the rest are shed with structured `Overloaded` replies. It
+//! drains gracefully on SIGTERM/SIGINT or a client Shutdown frame; and
+//! because it keeps no durable state, `kill -9` at any moment loses only
 //! in-flight requests — the next `cquald` on the same socket steals the
 //! stale file at once and serves.
 //!
@@ -21,10 +23,11 @@
 //! analysis; a request that overruns it answers with an error, and the
 //! client analyzes in process.
 //!
-//! Timeouts are fixed: a request the client sent without a deadline gets
-//! 30 s, one frame must arrive within 10 s of its first byte, an idle
-//! connection is closed after 300 s, and a drain waits 2 s for queued
-//! work.
+//! Timeouts are fixed: a request's deadline, its own or 30 s when the
+//! client sent none, runs from the moment its frame was read and covers
+//! both its wait for a slot and its analysis; one frame must arrive
+//! within 10 s of its first byte, an idle connection is closed after
+//! 300 s, and a drain waits 2 s for running and waiting requests.
 //!
 //! Exit codes: 0 after a drain, 1 when serving could not start, 2 for
 //! bad usage (an unknown flag among them).

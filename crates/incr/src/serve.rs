@@ -22,26 +22,31 @@
 //!   closed, never propagated. The accept loop itself survives panics
 //!   in per-connection setup. It blocks in `accept(2)`, so a request
 //!   is picked up the moment it connects; a drain wakes it with one
-//!   connection to its own socket, which is never served.
-//! * **Admission control.** A bounded queue feeds a fixed worker pool.
-//!   When the queue is full the server *sheds load* with a structured
+//!   connection to its own socket, which is never served. These are
+//!   the server's only threads.
+//! * **Admission control.** The connection thread that reads an
+//!   analysis request runs it itself, once it holds one of
+//!   `max_inflight` slots. A request that finds every slot busy waits
+//!   for one only while fewer than `queue_cap` requests already wait;
+//!   otherwise the server *sheds load* with a structured
 //!   [`proto::Frame::Overloaded`] carrying a retry hint derived from
-//!   observed service time — it never blocks the client and never
-//!   hangs.
-//! * **Request dedup.** Identical in-flight requests (content-addressed
-//!   by source, mode, qualifiers and verify flag) attach to one job;
-//!   completed reports are memoized so repeat requests answer warm
+//!   observed service time — it never hangs a client.
+//! * **Memo.** Completed reports are memoized, keyed by source, mode,
+//!   qualifiers and verify flag, so a repeat request answers warm
 //!   without a fresh analysis.
-//! * **Deadlines and budgets.** Each request's deadline arms the
-//!   engine's cooperative cancellation, and `memory_budget_mb` bounds
-//!   its gross allocation; a request that runs past either answers with
-//!   an error, and the client analyzes in process. Connection reads
-//!   carry idle and per-frame timeouts (slow-loris defense); the
-//!   conn-side wait for a job is bounded even if a worker wedges.
+//! * **Deadlines and budgets.** Each request's deadline starts when its
+//!   frame has been read. It bounds the wait for a slot, and what is
+//!   left of it arms the engine's cooperative cancellation;
+//!   `memory_budget_mb` bounds the analysis's gross allocation. A
+//!   request that runs past either answers with an error, and the
+//!   client analyzes in process. Connection reads carry idle and
+//!   per-frame timeouts (slow-loris defense).
 //! * **Graceful drain, hard stop.** SIGTERM/SIGINT (or a
-//!   [`proto::Frame::Shutdown`] frame) close admission, let queued work
-//!   finish until a drain deadline, then stop hard. The process exit is
-//!   the hard stop — crash-only means nothing after it matters.
+//!   [`proto::Frame::Shutdown`] frame) close admission, let running and
+//!   waiting requests finish until a drain deadline, then stop hard:
+//!   a request still waiting for a slot is answered with an error. The
+//!   process exit is the hard stop — crash-only means nothing after it
+//!   matters.
 //!
 //! Fault points: `serve.accept` and `serve.session` here, and
 //! `proto.read`/`proto.write` in the frames this loop reads and writes
@@ -52,7 +57,7 @@ use std::io::{self, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -78,27 +83,31 @@ const RETRY_HINT_MAX_MS: u64 = 2_000;
 /// Client-side wait bound when a request carries no deadline: twice
 /// the daemon's own [`REQUEST_DEADLINE_MS`].
 const FALLBACK_WAIT_MS: u64 = 60_000;
-/// Per-request analysis deadline when the client sends none.
+/// Per-request deadline when the client sends none.
 const REQUEST_DEADLINE_MS: u64 = 30_000;
+/// Ceiling on any request's deadline, whatever the client sends.
+const MAX_DEADLINE_MS: u64 = 600_000;
 /// Budget for reading one complete frame once its first byte arrived —
 /// a drip-feeding client is cut off at this bound. It bounds each reply
 /// write as well.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a connection may sit idle between requests.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
-/// Drain budget: queued work past this deadline is abandoned.
+/// Drain budget: a request still waiting for a slot past this deadline
+/// is answered with an error.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
-/// Scheduling grace added to the conn-side wait beyond the request
-/// deadline (the worker needs time to pick the job up and publish).
-const WAIT_GRACE_MS: u64 = 2_000;
 /// Poll quantum for idle waits (first byte, drain).
 const POLL_MS: u64 = 50;
 /// Ceiling on the accept loop's EMFILE backoff (starts at `POLL_MS`,
 /// doubles per consecutive refusal).
 const EMFILE_BACKOFF_CAP_MS: u64 = 400;
-/// How long `stop` waits for a service thread to finish after it was
+/// How long `stop` waits for the accept thread to finish after it was
 /// told to, before detaching it.
 const JOIN_PATIENCE: Duration = Duration::from_millis(500);
+/// Extra attempts a client makes after an `Overloaded` reply.
+const CLIENT_RETRIES: u32 = 3;
+/// Ceiling on a client's sleep before each retry, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 250;
 
 /// Poison-tolerant lock: a panicked holder already paid with its
 /// thread; the shared maps stay structurally sound.
@@ -121,10 +130,11 @@ pub struct ServeConfig {
     /// mode, qualifiers and verify flag, and runs at default budgets;
     /// the other fields, `cache_dir` among them, are ignored.
     pub incr: IncrConfig,
-    /// Worker threads draining the queue (concurrent analyses).
+    /// Analyses that may run at once, each on the connection thread
+    /// that read its request.
     pub max_inflight: usize,
-    /// Queued requests beyond the in-flight ones before the server
-    /// sheds load with `Overloaded`.
+    /// Requests that may wait for a slot while `max_inflight` analyses
+    /// run; one more is shed with `Overloaded`.
     pub queue_cap: usize,
 }
 
@@ -145,10 +155,8 @@ impl ServeConfig {
 /// hard stop for what it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Workers still wedged in analysis when the deadline passed (they
-    /// are detached; process exit reclaims them — crash-only).
-    pub abandoned_workers: usize,
-    /// Connections still open at the deadline.
+    /// Connections still open at the deadline, an analysis still
+    /// running among them (process exit reclaims them — crash-only).
     pub lingering_conns: usize,
 }
 
@@ -158,7 +166,6 @@ pub struct DrainReport {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
     _guard: SocketGuard,
 }
 
@@ -182,8 +189,9 @@ impl ServerHandle {
         stats_pairs(&self.shared)
     }
 
-    /// Graceful drain: close admission, finish queued work until the
-    /// drain deadline, then stop hard and report what was abandoned.
+    /// Graceful drain: close admission, let running and waiting
+    /// requests finish until the drain deadline, then stop hard and
+    /// report what was cut.
     pub fn stop(mut self) -> DrainReport {
         begin_drain(&self.shared);
         // The wake connection ends the accept thread at once. If it
@@ -209,36 +217,28 @@ impl ServerHandle {
                 conns = guard;
             }
         }
-        self.shared.hard_stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        // Workers notice the hard stop between jobs; one wedged inside
-        // an analysis cannot be joined — detach it past the deadline.
-        let patience = Instant::now() + JOIN_PATIENCE;
-        let abandoned = self
-            .workers
-            .drain(..)
-            .map(|w| join_within(w, patience))
-            .filter(|&joined| !joined)
-            .count();
-        let lingering = lock(&self.shared.conns).len();
+        // Release the requests still waiting for a slot. The store is
+        // made under the gate's lock, so no waiter can miss the wake.
+        {
+            let _gate = lock(&self.shared.gate);
+            self.shared.hard_stop.store(true, Ordering::SeqCst);
+        }
+        self.shared.gate_cv.notify_all();
         DrainReport {
-            abandoned_workers: abandoned,
-            lingering_conns: lingering,
+            lingering_conns: lock(&self.shared.conns).len(),
         }
     }
 }
 
 /// Joins `t` if it finishes before `patience` runs out; otherwise
-/// detaches it and returns false.
-fn join_within(t: thread::JoinHandle<()>, patience: Instant) -> bool {
+/// detaches it.
+fn join_within(t: thread::JoinHandle<()>, patience: Instant) {
     while !t.is_finished() && Instant::now() < patience {
         thread::sleep(Duration::from_millis(10));
     }
-    let finished = t.is_finished();
-    if finished {
+    if t.is_finished() {
         let _ = t.join();
     }
-    finished
 }
 
 /// Removes the socket when the server winds down normally. A crashed
@@ -259,13 +259,12 @@ impl Drop for SocketGuard {
 // ---------------------------------------------------------------------------
 
 /// Operational counters. All atomics: read by Stats frames while
-/// workers and connections bump them.
+/// connections bump them.
 #[derive(Default)]
 struct ServeStats {
     requests: AtomicU64,
     analyzed: AtomicU64,
     warm_hits: AtomicU64,
-    deduped: AtomicU64,
     shed: AtomicU64,
     errors: AtomicU64,
     proto_errors: AtomicU64,
@@ -279,25 +278,31 @@ struct ServeStats {
     accept_emfile: AtomicU64,
 }
 
-/// One admitted analysis request; dedup attaches extra waiters.
-struct Job {
-    key: Key,
-    req: AnalyzeReq,
-    state: Mutex<Option<Result<Arc<Served>, String>>>,
-    done: Condvar,
-}
-
-struct Queue {
-    jobs: VecDeque<Arc<Job>>,
-    /// In-flight or queued jobs by content key, for dedup.
-    pending: HashMap<Key, Arc<Job>>,
+/// Admission for analyses: at most `max_inflight` run at once, and at
+/// most `queue_cap` more wait for a slot.
+struct Gate {
+    /// Analyses running now.
+    running: usize,
+    /// Requests waiting for a slot.
+    waiting: usize,
     /// False once a drain began: no new admissions.
     open: bool,
 }
 
+/// A slot of the [`Gate`], held while one analysis runs; dropping it
+/// hands the slot on.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.gate).running -= 1;
+        self.0.gate_cv.notify_all();
+    }
+}
+
 /// A report as the daemon keeps it, with a lookup order for
 /// `QueryQual`: scanning every position costs a query tens of
-/// microseconds while another worker analyzes.
+/// microseconds while another request analyzes.
 struct Served {
     report: ReportFrame,
     /// Position indices sorted by (function, parameter, level), built
@@ -349,8 +354,9 @@ impl Memo {
 
 struct Shared {
     cfg: ServeConfig,
-    queue: Mutex<Queue>,
-    queue_cv: Condvar,
+    gate: Mutex<Gate>,
+    /// Signalled when a slot frees up or the daemon stops hard.
+    gate_cv: Condvar,
     memo: Mutex<Memo>,
     /// What `QueryQual` and `Explain` answer from: the last report
     /// served, fresh or from the memo.
@@ -359,16 +365,15 @@ struct Shared {
     conns_cv: Condvar,
     stats: ServeStats,
     shutdown: AtomicBool,
+    /// Set when a drain runs out of time: waiting requests give up.
     hard_stop: AtomicBool,
-    inflight: AtomicU32,
-    /// Milliseconds the most recent job took; seeds overload hints.
+    /// Milliseconds the most recent analysis took; seeds overload hints.
     last_service_ms: AtomicU64,
 }
 
 fn begin_drain(shared: &Shared) {
     let first = !shared.shutdown.swap(true, Ordering::SeqCst);
-    lock(&shared.queue).open = false;
-    shared.queue_cv.notify_all();
+    lock(&shared.gate).open = false;
     if first {
         // Wake the accept thread out of accept(2). When the connect
         // fails (socket unlinked, fd table full) the thread stays
@@ -410,22 +415,20 @@ fn bind_socket(socket: &Path) -> Result<(UnixListener, bool), String> {
     }
 }
 
-/// Starts the server: claims the socket and spawns the worker pool and
-/// accept loop.
+/// Starts the server: claims the socket and spawns the accept loop.
 pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
     let (listener, stolen) = bind_socket(&cfg.socket)?;
     let guard = SocketGuard {
         socket: cfg.socket.clone(),
     };
-    let workers_wanted = cfg.max_inflight.max(1);
     let shared = Arc::new(Shared {
         cfg,
-        queue: Mutex::new(Queue {
-            jobs: VecDeque::new(),
-            pending: HashMap::new(),
+        gate: Mutex::new(Gate {
+            running: 0,
+            waiting: 0,
             open: true,
         }),
-        queue_cv: Condvar::new(),
+        gate_cv: Condvar::new(),
         memo: Mutex::new(Memo {
             map: HashMap::new(),
             order: VecDeque::new(),
@@ -436,21 +439,11 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
         stats: ServeStats::default(),
         shutdown: AtomicBool::new(false),
         hard_stop: AtomicBool::new(false),
-        inflight: AtomicU32::new(0),
         last_service_ms: AtomicU64::new(0),
     });
     if stolen {
         shared.stats.socket_stolen.store(1, Ordering::SeqCst);
         qual_obs::count("serve.socket_stolen", 1);
-    }
-    let mut workers = Vec::with_capacity(workers_wanted);
-    for i in 0..workers_wanted {
-        let sh = Arc::clone(&shared);
-        let handle = thread::Builder::new()
-            .name(format!("serve-worker-{i}"))
-            .spawn(move || worker_loop(&sh))
-            .map_err(|e| format!("cannot spawn analysis worker: {e}"))?;
-        workers.push(handle);
     }
     let sh = Arc::clone(&shared);
     let accept = thread::Builder::new()
@@ -460,7 +453,6 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, String> {
     Ok(ServerHandle {
         shared,
         accept: Some(accept),
-        workers,
         _guard: guard,
     })
 }
@@ -652,7 +644,7 @@ fn run_conn(shared: &Shared, stream: &UnixStream) {
                 return;
             }
         };
-        let (reply, close) = dispatch(shared, frame);
+        let (reply, close) = dispatch(shared, frame, Instant::now());
         if write_reply(stream, &reply).is_err() {
             shared.stats.errors.fetch_add(1, Ordering::SeqCst);
             return;
@@ -669,13 +661,15 @@ fn write_reply(stream: &UnixStream, frame: &Frame) -> Result<(), ()> {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch, admission control, and the worker pool
+// Dispatch and admission control
 // ---------------------------------------------------------------------------
 
-fn dispatch(shared: &Shared, frame: Frame) -> (Frame, bool) {
+/// Answers one frame, read at `read_at`; the flag asks to close the
+/// connection after the reply.
+fn dispatch(shared: &Shared, frame: Frame, read_at: Instant) -> (Frame, bool) {
     match frame {
-        Frame::Analyze(req) => (serve_analyze(shared, *req, false), false),
-        Frame::Reanalyze(req) => (serve_analyze(shared, *req, true), false),
+        Frame::Analyze(req) => (serve_analyze(shared, *req, false, read_at), false),
+        Frame::Reanalyze(req) => (serve_analyze(shared, *req, true, read_at), false),
         Frame::QueryQual {
             function,
             param,
@@ -707,7 +701,7 @@ fn dispatch(shared: &Shared, frame: Frame) -> (Frame, bool) {
 }
 
 /// The content address of a request: identical (src, mode, quals,
-/// verify) tuples dedup onto one job and share one memo slot.
+/// verify) tuples share one memo slot.
 fn request_key(req: &AnalyzeReq) -> Key {
     let mut h = KeyHasher::new();
     h.str("serve-request-v2");
@@ -728,20 +722,24 @@ fn retry_hint_ms(last_service_ms: u64, backlog: u64) -> u64 {
         .clamp(RETRY_HINT_MIN_MS, RETRY_HINT_MAX_MS)
 }
 
-fn overloaded_reply(shared: &Shared, queue_depth: usize) -> Frame {
-    let inflight = shared.inflight.load(Ordering::SeqCst);
-    let backlog = queue_depth as u64 + u64::from(inflight);
+fn overloaded_reply(shared: &Shared, gate: &Gate) -> Frame {
     Frame::Overloaded {
         retry_after_ms: retry_hint_ms(
             shared.last_service_ms.load(Ordering::SeqCst),
-            backlog,
+            (gate.waiting + gate.running) as u64,
         ),
-        queue_depth: queue_depth as u32,
-        inflight,
+        queue_depth: gate.waiting as u32,
+        inflight: gate.running as u32,
     }
 }
 
-fn serve_analyze(shared: &Shared, req: AnalyzeReq, fresh: bool) -> Frame {
+fn error_reply(message: &str) -> Frame {
+    Frame::ErrorReply {
+        message: message.to_owned(),
+    }
+}
+
+fn serve_analyze(shared: &Shared, req: AnalyzeReq, fresh: bool, read_at: Instant) -> Frame {
     shared.stats.requests.fetch_add(1, Ordering::SeqCst);
     qual_obs::count("serve.requests", 1);
     if req.version != proto::PROTO_VERSION {
@@ -766,147 +764,107 @@ fn serve_analyze(shared: &Shared, req: AnalyzeReq, fresh: bool) -> Frame {
             return Frame::Report(Box::new(warm));
         }
     }
+    // One deadline per request, counted from the moment its frame was
+    // read: it bounds the wait for a slot, and the engine runs under
+    // what is left of it.
     let deadline_ms = req.deadline_ms.unwrap_or(REQUEST_DEADLINE_MS);
-    let job = {
-        let mut q = lock(&shared.queue);
-        if let Some(existing) = q.pending.get(&key) {
-            // Same work already queued or running: attach, don't
-            // re-admit. (A Reanalyze attaches too — the in-flight run
-            // is at least as fresh as one admitted now.)
-            shared.stats.deduped.fetch_add(1, Ordering::SeqCst);
-            qual_obs::count("serve.deduped", 1);
-            Arc::clone(existing)
-        } else if !q.open {
-            return Frame::ErrorReply {
-                message: "daemon is draining; run the analysis in process".to_owned(),
-            };
-        } else if q.jobs.len() >= shared.cfg.queue_cap.max(1) {
+    let deadline = read_at + Duration::from_millis(deadline_ms.min(MAX_DEADLINE_MS));
+    let slot = match take_slot(shared, deadline) {
+        Ok(slot) => slot,
+        Err(reply) => return reply,
+    };
+    let started = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(shared, &req, deadline)))
+        .unwrap_or_else(|_| {
+            // A panicked analysis is confined to its request: the client
+            // gets a structured error, and the memo and the resident
+            // report keep their last sound values.
+            shared.stats.session_panics.fetch_add(1, Ordering::SeqCst);
+            qual_obs::count("serve.session_panics", 1);
+            Err(
+                "analysis panicked in the daemon; the request was abandoned but \
+                 the daemon kept serving"
+                    .to_owned(),
+            )
+        });
+    shared.last_service_ms.store(
+        (started.elapsed().as_millis() as u64).max(1),
+        Ordering::SeqCst,
+    );
+    // Published before the reply is written, so a client that reads the
+    // reply and asks again finds the report in the memo.
+    if let Ok(rep) = &outcome {
+        shared.stats.analyzed.fetch_add(1, Ordering::SeqCst);
+        lock(&shared.memo).put(key, Arc::clone(rep));
+        *lock(&shared.resident) = Some(Arc::clone(rep));
+    }
+    drop(slot);
+    match outcome {
+        Ok(rep) => Frame::Report(Box::new(rep.report.clone())),
+        Err(message) => {
+            shared.stats.errors.fetch_add(1, Ordering::SeqCst);
+            Frame::ErrorReply { message }
+        }
+    }
+}
+
+/// Takes an analysis slot. When every slot is busy the request waits
+/// for one, until `deadline`, if fewer than `queue_cap` requests
+/// already wait, and is shed otherwise. `Err` holds the reply for a
+/// request that got no slot.
+fn take_slot(shared: &Shared, deadline: Instant) -> Result<Slot<'_>, Frame> {
+    let slots = shared.cfg.max_inflight.max(1);
+    let mut gate = lock(&shared.gate);
+    if !gate.open {
+        return Err(error_reply("daemon is draining"));
+    }
+    if gate.running >= slots {
+        if gate.waiting >= shared.cfg.queue_cap.max(1) {
             shared.stats.shed.fetch_add(1, Ordering::SeqCst);
             qual_obs::count("serve.shed", 1);
-            return overloaded_reply(shared, q.jobs.len());
-        } else {
-            let job = Arc::new(Job {
-                key,
-                req,
-                state: Mutex::new(None),
-                done: Condvar::new(),
-            });
-            q.jobs.push_back(Arc::clone(&job));
-            q.pending.insert(key, Arc::clone(&job));
-            shared.queue_cv.notify_one();
-            job
+            return Err(overloaded_reply(shared, &gate));
         }
-    };
-    // Bounded wait: the request deadline plus scheduling grace. The
-    // analysis itself is cooperatively cancelled at the deadline, so
-    // this bound only fires when a worker is truly wedged — and then
-    // the client gets a structured error, never a hang.
-    let wait_ms = deadline_ms.saturating_add(WAIT_GRACE_MS).min(600_000);
-    let wait_deadline = Instant::now() + Duration::from_millis(wait_ms);
-    let mut state = lock(&job.state);
-    loop {
-        if let Some(result) = state.as_ref() {
-            return match result {
-                Ok(rep) => Frame::Report(Box::new(rep.report.clone())),
-                Err(msg) => Frame::ErrorReply {
-                    message: msg.clone(),
-                },
-            };
+        gate.waiting += 1;
+        while gate.running >= slots && !shared.hard_stop.load(Ordering::SeqCst) {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            gate = shared
+                .gate_cv
+                .wait_timeout(gate, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
+        gate.waiting -= 1;
         if shared.hard_stop.load(Ordering::SeqCst) {
-            return Frame::ErrorReply {
-                message: "daemon stopped before the request completed".to_owned(),
-            };
+            return Err(error_reply("daemon stopped before the request completed"));
         }
-        let now = Instant::now();
-        if now >= wait_deadline {
+        if gate.running >= slots {
             shared.stats.errors.fetch_add(1, Ordering::SeqCst);
-            return Frame::ErrorReply {
-                message: "request deadline exceeded while waiting for the analysis"
-                    .to_owned(),
-            };
+            return Err(error_reply("request deadline exceeded"));
         }
-        let step = (wait_deadline - now).min(Duration::from_millis(100));
-        let (guard, _) = job
-            .done
-            .wait_timeout(state, step)
-            .unwrap_or_else(PoisonError::into_inner);
-        state = guard;
     }
+    gate.running += 1;
+    Ok(Slot(shared))
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if shared.hard_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(j) = q.jobs.pop_front() {
-                    break j;
-                }
-                if !q.open {
-                    // Draining and the queue is dry: done.
-                    return;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(200))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-        };
-        shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let started = Instant::now();
-        let outcome = match catch_unwind(AssertUnwindSafe(|| execute_job(shared, &job))) {
-            Ok(r) => r,
-            Err(_) => {
-                // A panicked analysis is quarantined to its job: the
-                // waiter gets a structured error, and the memo and the
-                // resident report keep their last sound values.
-                shared.stats.session_panics.fetch_add(1, Ordering::SeqCst);
-                qual_obs::count("serve.session_panics", 1);
-                Err("analysis panicked in the daemon; the request was abandoned but \
-                     the daemon kept serving"
-                    .to_owned())
-            }
-        };
-        shared.last_service_ms.store(
-            (started.elapsed().as_millis() as u64).max(1),
-            Ordering::SeqCst,
-        );
-        match &outcome {
-            Ok(rep) => {
-                shared.stats.analyzed.fetch_add(1, Ordering::SeqCst);
-                lock(&shared.memo).put(job.key, Arc::clone(rep));
-                *lock(&shared.resident) = Some(Arc::clone(rep));
-            }
-            Err(_) => {
-                shared.stats.errors.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        lock(&shared.queue).pending.remove(&job.key);
-        *lock(&job.state) = Some(outcome);
-        job.done.notify_all();
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<Served>, String> {
-    qual_faultpoint::hit("serve.session")
-        .map_err(|e| format!("{e}; run the analysis in process"))?;
-    let req = &job.req;
+fn execute_job(
+    shared: &Shared,
+    req: &AnalyzeReq,
+    deadline: Instant,
+) -> Result<Arc<Served>, String> {
+    qual_faultpoint::hit("serve.session").map_err(|e| e.to_string())?;
     let space = if req.quals.is_empty() {
         QualSpace::const_only()
     } else {
         qual_constinfer::space_for(&req.quals).map_err(|e| e.to_string())?
     };
-    // Arm the engine's cooperative cancellation and the memory budget
-    // for this worker thread; the engine polls both as it charges work.
-    let _deadline = qual_faultpoint::cancel::deadline_after_ms(
-        req.deadline_ms.unwrap_or(REQUEST_DEADLINE_MS),
-    );
+    // Arm the engine's cooperative cancellation with what is left of the
+    // request's deadline, and the memory budget, on this thread; the
+    // engine polls both as it charges work.
+    let left = deadline.saturating_duration_since(Instant::now());
+    let _deadline = qual_faultpoint::cancel::deadline_after_ms(left.as_millis() as u64);
     let _mem_budget = shared
         .cfg
         .incr
@@ -923,12 +881,11 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<Arc<Served>, String> {
     // process and the memo never keeps it.
     if let Some((used, limit)) = qual_obs::mem::unit_overrun() {
         return Err(format!(
-            "memory budget exceeded ({used} of {limit} bytes allocated); run the \
-             analysis in process"
+            "memory budget exceeded ({used} of {limit} bytes allocated)"
         ));
     }
     if qual_faultpoint::cancel::expired() {
-        return Err("request deadline exceeded; run the analysis in process".to_owned());
+        return Err("request deadline exceeded".to_owned());
     }
     Ok(Arc::new(Served {
         report: engine_report(&req.src, req.mode, req.verify, &outcome),
@@ -975,14 +932,16 @@ fn answer_explain(shared: &Shared) -> Frame {
 
 /// Stats pairs in a fixed, documented order.
 fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
-    let queue_depth = lock(&shared.queue).jobs.len() as u64;
+    let (queue_depth, inflight) = {
+        let gate = lock(&shared.gate);
+        (gate.waiting as u64, gate.running as u64)
+    };
     let s = &shared.stats;
     let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
     [
         ("serve.requests", load(&s.requests)),
         ("serve.analyzed", load(&s.analyzed)),
         ("serve.warm_hits", load(&s.warm_hits)),
-        ("serve.deduped", load(&s.deduped)),
         ("serve.shed", load(&s.shed)),
         ("serve.errors", load(&s.errors)),
         ("serve.proto_errors", load(&s.proto_errors)),
@@ -992,10 +951,7 @@ fn stats_pairs(shared: &Shared) -> Vec<(String, u64)> {
         ("serve.conn_panics", load(&s.conn_panics)),
         ("serve.socket_stolen", load(&s.socket_stolen)),
         ("serve.queue_depth", queue_depth),
-        (
-            "serve.inflight",
-            u64::from(shared.inflight.load(Ordering::SeqCst)),
-        ),
+        ("serve.inflight", inflight),
         ("serve.accept_emfile", load(&s.accept_emfile)),
     ]
     .into_iter()
@@ -1121,11 +1077,10 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
     }
     eprintln!("cquald: draining");
     let report = handle.stop();
-    if report.abandoned_workers > 0 || report.lingering_conns > 0 {
+    if report.lingering_conns > 0 {
         eprintln!(
-            "cquald: hard stop: {} worker(s) abandoned mid-analysis, {} \
-             connection(s) cut",
-            report.abandoned_workers, report.lingering_conns
+            "cquald: hard stop: {} connection(s) cut",
+            report.lingering_conns
         );
     }
     eprintln!("cquald: drained; exiting");
@@ -1136,27 +1091,20 @@ pub fn run(cfg: ServeConfig) -> Result<(), String> {
 // Client
 // ---------------------------------------------------------------------------
 
-/// How a client reaches (and retries) a daemon.
+/// How a client reaches a daemon. An `Overloaded` reply is retried up
+/// to 3 times, each after the server's hint capped at 250 ms (the
+/// retry contract in the README).
 #[derive(Debug, Clone)]
 pub struct Connect {
     /// The daemon's socket.
     pub socket: PathBuf,
-    /// Extra attempts after an `Overloaded` reply (the retry/backoff
-    /// contract in the README: honor the server's hint, capped below).
-    pub retries: u32,
-    /// Ceiling on any single backoff sleep, in milliseconds.
-    pub backoff_cap_ms: u64,
 }
 
 impl Connect {
-    /// The default contract: 3 retries, hint honored up to 250 ms.
+    /// A client of the daemon on `socket`.
     #[must_use]
     pub fn new(socket: PathBuf) -> Connect {
-        Connect {
-            socket,
-            retries: 3,
-            backoff_cap_ms: 250,
-        }
+        Connect { socket }
     }
 }
 
@@ -1211,11 +1159,11 @@ fn analyze_roundtrips(
     req: &AnalyzeReq,
     fresh: bool,
 ) -> Result<ReportFrame, ClientError> {
-    // The socket read must outlive the server-side analysis wait.
+    // The socket read must outlive the request's deadline, which bounds
+    // the daemon's wait for a slot and its analysis, and the reply write.
     let timeout_ms = req
         .deadline_ms
         .unwrap_or(FALLBACK_WAIT_MS)
-        .saturating_add(WAIT_GRACE_MS)
         .saturating_add(10_000);
     let mut attempt = 0u32;
     loop {
@@ -1232,13 +1180,13 @@ fn analyze_roundtrips(
                 return Ok(*rep);
             }
             Frame::Overloaded { retry_after_ms, .. } => {
-                if attempt >= conn.retries {
+                if attempt >= CLIENT_RETRIES {
                     return Err(ClientError::Overloaded { retry_after_ms });
                 }
                 attempt += 1;
                 qual_obs::count("serve.client_retries", 1);
                 thread::sleep(Duration::from_millis(
-                    retry_after_ms.clamp(1, conn.backoff_cap_ms.max(1)),
+                    retry_after_ms.clamp(1, BACKOFF_CAP_MS),
                 ));
             }
             Frame::ErrorReply { message } => return Err(ClientError::Server(message)),
@@ -1475,11 +1423,13 @@ mod tests {
         assert_eq!(get("serve.analyzed"), 2);
         assert_eq!(get("serve.warm_hits"), 1);
         assert_eq!(get("serve.shed"), 0);
+        // Between requests no analysis holds a slot or waits for one.
+        assert_eq!(get("serve.inflight"), 0);
+        assert_eq!(get("serve.queue_depth"), 0);
 
         request_shutdown(&conn).expect("shutdown ack");
         assert!(handle.draining());
-        let drain = handle.stop();
-        assert_eq!(drain.abandoned_workers, 0);
+        assert_eq!(handle.stop().lingering_conns, 0);
         assert!(
             !socket.exists(),
             "a clean stop must remove the socket file"
@@ -1524,7 +1474,12 @@ mod tests {
         let mut late = req(src);
         late.deadline_ms = Some(0);
         match request_analyze(&conn, &late) {
-            Err(ClientError::Server(msg)) => assert!(msg.contains("deadline"), "{msg}"),
+            Err(ClientError::Server(msg)) => {
+                assert!(msg.contains("deadline"), "{msg}");
+                // The client's note is the one instruction to analyze in
+                // process.
+                assert!(!msg.contains("in process"), "{msg}");
+            }
             other => panic!("expected a deadline error, got {other:?}"),
         }
         // The memo kept nothing: with time to run, the source is
@@ -1532,6 +1487,32 @@ mod tests {
         let fresh = request_analyze(&conn, &req(src)).expect("analyze");
         assert!(!fresh.warm);
         assert!(fresh.skipped.is_empty(), "{:?}", fresh.skipped);
+        handle.stop();
+    }
+
+    #[test]
+    fn a_qualifier_list_the_catalog_rejects_answers_an_error_and_analyzes_nothing() {
+        let socket = temp_socket("bogus-quals");
+        let handle = serve(ServeConfig::for_socket(socket.clone())).expect("serve");
+        let conn = Connect::new(socket.clone());
+        let src = "int f(char *p) { return *p; }";
+        // A forged request: `cqual --connect` checks its qualifier list
+        // before it sends one.
+        let mut bogus = req(src);
+        bogus.quals = "const,bogus".to_owned();
+        match request_analyze(&conn, &bogus) {
+            Err(ClientError::Server(msg)) => assert!(msg.contains("bogus"), "{msg}"),
+            other => panic!("expected an unknown-qualifier error, got {other:?}"),
+        }
+        let stats = request_stats(&conn).expect("stats");
+        let get = |name: &str| stats.iter().find(|(k, _)| k == name).map(|(_, v)| *v);
+        assert_eq!(get("serve.errors"), Some(1), "{stats:?}");
+        assert_eq!(get("serve.analyzed"), Some(0), "{stats:?}");
+        // The daemon is unharmed: a valid request for the same source is
+        // analyzed cold.
+        let valid = request_analyze(&conn, &req(src)).expect("analyze");
+        assert!(!valid.warm);
+        assert!(valid.counts.is_some());
         handle.stop();
     }
 
@@ -1571,7 +1552,6 @@ mod tests {
         let drain = handle.stop();
         let elapsed = t.elapsed();
         assert!(elapsed < bound, "stop took {elapsed:?}, bound {bound:?}");
-        assert_eq!(drain.abandoned_workers, 0);
         assert_eq!(drain.lingering_conns, 0);
     }
 

@@ -8,6 +8,10 @@
 //! * a client that disconnects mid-request leaves the daemon serving;
 //! * an overloaded daemon sheds with structured `Overloaded` replies
 //!   carrying bounded retry hints — it never hangs a client;
+//! * a request's one deadline, counted from when its frame was read,
+//!   also bounds its wait for an analysis slot;
+//! * a real EMFILE leaves a request in the listen backlog, and it is
+//!   served once descriptors free up;
 //! * `kill -9` mid-analysis loses only the in-flight request: the
 //!   client degrades to an in-process run (same bytes), and the next
 //!   daemon on the same socket steals the stale file and serves at once;
@@ -33,10 +37,11 @@
 //! Without that variable, a daemon's log is deleted when its test
 //! passes.
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qual_constinfer::Mode;
@@ -96,12 +101,24 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(tag: &str, socket: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Daemon {
+        let cmd = Command::new(env!("CARGO_BIN_EXE_cquald"));
+        Daemon::spawn_by(cmd, tag, socket, extra, envs)
+    }
+
+    /// Starts `cquald` through `cmd`, which runs the binary with the
+    /// arguments appended to it.
+    fn spawn_by(
+        mut cmd: Command,
+        tag: &str,
+        socket: &Path,
+        extra: &[&str],
+        envs: &[(&str, &str)],
+    ) -> Daemon {
         let log = log_dir().join(format!(
             "cquald-{tag}-{}.log",
             std::process::id()
         ));
         let logfile = std::fs::File::create(&log).expect("create daemon log");
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cquald"));
         cmd.arg("--socket")
             .arg(socket)
             .args(extra)
@@ -307,7 +324,7 @@ fn client_disconnect_mid_request_leaves_daemon_serving() {
         let mut s = UnixStream::connect(&socket).expect("connect");
         s.write_all(b"QSP1\x07\x00").expect("partial header");
     }
-    // A full request, abandoned before the reply is read: the worker
+    // A full request, abandoned before the reply is read: the analysis
     // still finishes and the daemon eats the write failure.
     {
         let mut s = UnixStream::connect(&socket).expect("connect");
@@ -326,9 +343,9 @@ fn client_disconnect_mid_request_leaves_daemon_serving() {
 fn overloaded_daemon_sheds_with_structured_replies_and_never_hangs() {
     let dir = TempDir::new("overload");
     let socket = dir.path("d.sock");
-    // One worker, a queue of one, and a 200 ms stall on every session
-    // entry: with six distinct requests released together, most must be
-    // shed at admission.
+    // One slot, one waiter, and a 200 ms stall on every session entry:
+    // with six distinct requests released together, most must be shed
+    // at admission.
     let _daemon = Daemon::spawn(
         "overload",
         &socket,
@@ -336,25 +353,22 @@ fn overloaded_daemon_sheds_with_structured_replies_and_never_hangs() {
         &[("QUAL_FAULT_PLAN", "serve.session@*=delay:200")],
     );
 
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(6));
+    let barrier = Arc::new(Barrier::new(6));
     let started = Instant::now();
     let handles: Vec<_> = (0..6)
         .map(|i| {
             let socket = socket.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
+            let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                // No retries: every shed surfaces as an error we can
-                // count, rather than being absorbed by backoff.
-                let conn = Connect {
-                    socket,
-                    retries: 0,
-                    backoff_cap_ms: 1,
-                };
-                let req = analyze_req(&format!(
-                    "int f{i}(const char *s) {{ return s[{i}]; }}\n"
-                ));
+                // Raw frames, not the client library, which would retry
+                // a shed request: every reply is counted as it came.
+                let req = analyze_req(&format!("int f{i}(const char *s) {{ return s[{i}]; }}\n"));
+                let mut s = UnixStream::connect(&socket).expect("connect");
+                let _ = s.set_read_timeout(Some(Duration::from_secs(30)));
                 barrier.wait();
-                serve::request_analyze(&conn, &req)
+                proto::write_frame(&mut s, &Frame::Analyze(Box::new(req))).expect("write request");
+                let mut r = &s;
+                proto::read_frame(&mut r).expect("every request is answered")
             })
         })
         .collect();
@@ -363,18 +377,18 @@ fn overloaded_daemon_sheds_with_structured_replies_and_never_hangs() {
     let mut shed = 0usize;
     for h in handles {
         match h.join().expect("client thread panicked") {
-            Ok(rep) => {
+            Frame::Report(rep) => {
                 assert!(rep.counts.is_some());
                 served += 1;
             }
-            Err(serve::ClientError::Overloaded { retry_after_ms }) => {
+            Frame::Overloaded { retry_after_ms, .. } => {
                 assert!(
                     (25..=2_000).contains(&retry_after_ms),
                     "retry hint out of its clamp: {retry_after_ms}"
                 );
                 shed += 1;
             }
-            Err(other) => panic!("unexpected client error: {other}"),
+            other => panic!("unexpected reply: {other:?}"),
         }
     }
     // Overload must degrade, not block: even the served requests sit
@@ -390,6 +404,119 @@ fn overloaded_daemon_sheds_with_structured_replies_and_never_hangs() {
     let stats = serve::request_stats(&Connect::new(socket)).expect("stats");
     assert_eq!(stat(&stats, "serve.shed"), shed as u64, "{stats:?}");
     assert_eq!(stat(&stats, "serve.analyzed"), served as u64, "{stats:?}");
+}
+
+/// One deadline per request, counted from when the daemon read its
+/// frame: it bounds the wait for an analysis slot too. A request that
+/// cannot get the one slot within its deadline answers a deadline error
+/// while the slot's holder is still running, and the memo keeps nothing
+/// for it.
+#[test]
+fn a_request_that_cannot_get_a_slot_in_time_answers_a_deadline_error() {
+    let dir = TempDir::new("slot-deadline");
+    let socket = dir.path("d.sock");
+    let _daemon = Daemon::spawn(
+        "slot-deadline",
+        &socket,
+        &["--max-inflight", "1"],
+        &[("QUAL_FAULT_PLAN", "serve.session@1=delay:500")],
+    );
+    let conn = Connect::new(socket.clone());
+
+    // The first request takes the one slot and stalls in it.
+    let mut first = UnixStream::connect(&socket).expect("connect");
+    proto::write_frame(&mut first, &Frame::Analyze(Box::new(analyze_req(SRC_A))))
+        .expect("write the first request");
+    let until = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = serve::request_stats(&conn).expect("stats");
+        if stat(&stats, "serve.inflight") == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < until,
+            "the first request never took the slot"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut late = analyze_req(SRC_B);
+    late.deadline_ms = Some(100);
+    let mut second = UnixStream::connect(&socket).expect("connect");
+    let _ = second.set_read_timeout(Some(Duration::from_secs(10)));
+    proto::write_frame(&mut second, &Frame::Analyze(Box::new(late)))
+        .expect("write the late request");
+    let mut r = &second;
+    match proto::read_frame(&mut r).expect("the late request is answered") {
+        Frame::ErrorReply { message } => assert!(message.contains("deadline"), "{message}"),
+        other => panic!("expected a deadline error, got {other:?}"),
+    }
+    // The first request still holds the slot: the error came before it
+    // finished.
+    let stats = serve::request_stats(&conn).expect("stats");
+    assert_eq!(stat(&stats, "serve.inflight"), 1, "{stats:?}");
+    assert_eq!(stat(&stats, "serve.analyzed"), 0, "{stats:?}");
+
+    let _ = first.set_read_timeout(Some(Duration::from_secs(10)));
+    let mut r = &first;
+    let reply = proto::read_frame(&mut r).expect("the first request is answered");
+    assert!(matches!(reply, Frame::Report(_)), "{reply:?}");
+    // Sent again with time to run, the late source is analyzed cold.
+    let again = serve::request_analyze(&conn, &analyze_req(SRC_B)).expect("analyze");
+    assert!(!again.warm, "the memo kept a report for the late request");
+}
+
+/// A real EMFILE, where `serve.accept@N=fd-exhausted` only stands in for
+/// one: under `ulimit -n 32` idle connections fill the daemon's fd
+/// table, and accept(2) fails for the connections behind them. A
+/// further request waits in the listen backlog while they stay open,
+/// and is served the clean daemon's report once they close.
+#[test]
+fn a_request_behind_a_full_fd_table_is_served_once_descriptors_free() {
+    const FD_LIMIT: usize = 32;
+    let dir = TempDir::new("emfile");
+    let clean_socket = dir.path("clean.sock");
+    let clean = Daemon::spawn("emfile-clean", &clean_socket, &[], &[]);
+    let want = serve::request_analyze(&Connect::new(clean_socket), &analyze_req(SRC_A))
+        .expect("the clean daemon's report");
+    drop(clean);
+
+    let socket = dir.path("d.sock");
+    let mut limited = Command::new("sh");
+    limited
+        .arg("-c")
+        .arg(format!("ulimit -n {FD_LIMIT} && exec \"$0\" \"$@\""))
+        .arg(env!("CARGO_BIN_EXE_cquald"));
+    let mut daemon = Daemon::spawn_by(limited, "emfile", &socket, &[], &[]);
+
+    // The descriptors already open leave fewer than FD_LIMIT free, so
+    // some of these wait in the backlog, ahead of the request.
+    let idle: Vec<UnixStream> = (0..FD_LIMIT)
+        .map(|_| UnixStream::connect(&socket).expect("idle connect"))
+        .collect();
+    let mut s = UnixStream::connect(&socket).expect("connect");
+    proto::write_frame(&mut s, &Frame::Analyze(Box::new(analyze_req(SRC_A))))
+        .expect("write the request");
+    let _ = s.set_read_timeout(Some(Duration::from_millis(500)));
+    let mut r = &s;
+    match proto::read_frame(&mut r) {
+        Err(proto::ProtoError::Io(e))
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("the request was not left in the backlog: {other:?}"),
+    }
+
+    drop(idle);
+    let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
+    match proto::read_frame(&mut r).expect("served once descriptors freed") {
+        Frame::Report(rep) => assert_eq!(*rep, want),
+        other => panic!("expected a report, got {other:?}"),
+    }
+    assert!(daemon.alive(), "EMFILE killed the daemon");
+    let stats = serve::request_stats(&Connect::new(socket)).expect("stats");
+    assert!(stat(&stats, "serve.accept_emfile") >= 1, "{stats:?}");
 }
 
 #[test]
@@ -485,8 +612,9 @@ fn concurrent_connect_clients_match_serial_cqual_byte_for_byte() {
         .collect();
 
     // Eight clients, round-robin over the three sources, all in flight
-    // at once. Dedup, the memo, and admission control may each route a
-    // request differently; none of that may change a byte of output.
+    // at once. The memo and admission control may each route a request
+    // differently: a fresh analysis, a memo hit, a wait for a slot or a
+    // shed and retry. None of that may change a byte of output.
     let handles: Vec<_> = (0..8)
         .map(|i| {
             let socket = socket.clone();
@@ -656,6 +784,11 @@ fn an_engine_panic_costs_one_request_not_the_daemon() {
         stderr.ends_with("analyzing in process instead\n") && stderr.lines().count() == 1,
         "one note on stderr: {stderr}"
     );
+    assert_eq!(
+        stderr.matches("in process").count(),
+        1,
+        "one instruction: {stderr}"
+    );
 
     // The daemon survived and serves the next request itself.
     assert!(daemon.alive(), "the panic killed the daemon");
@@ -701,6 +834,11 @@ fn a_request_over_the_memory_budget_is_refused_every_time() {
                 && stderr.contains("memory budget exceeded")
                 && stderr.ends_with("analyzing in process instead\n"),
             "{round}: one note on stderr: {stderr}"
+        );
+        assert_eq!(
+            stderr.matches("in process").count(),
+            1,
+            "{round}: one instruction: {stderr}"
         );
     }
     let stats = serve::request_stats(&Connect::new(socket)).expect("stats");

@@ -14,8 +14,9 @@
 //!   structured error) inside a bound; the daemon process survives the
 //!   whole run and its panic counters stay at zero.
 //! * **Nothing shed.** Four closed-loop clients cannot fill two
-//!   workers plus a queue of eight, so `serve.shed` reads 0, and
-//!   `serve.analyzed` covers at least half of the Reanalyze requests.
+//!   analysis slots plus eight waiting requests, so `serve.shed` reads
+//!   0, and `serve.analyzed` covers at least half of the Reanalyze
+//!   requests.
 //! * **Bounded steady-state memory.** The daemon's RSS at the end of
 //!   the soak is within a fixed slack of its mid-soak RSS — thousands
 //!   of requests and refusals must not leak.
@@ -50,8 +51,8 @@ use qual_incr::serve::{self, ClientError, Connect};
 #[global_allocator]
 static ALLOC: qual_obs::mem::TrackingAlloc = qual_obs::mem::TrackingAlloc;
 
-/// Distinct sources so the memo and dedup see real variety; each
-/// defines a function the QueryQual phase can target. The soak adds
+/// Distinct sources so the memo sees real variety; each defines a
+/// function the QueryQual phase can target. The soak adds
 /// [`big_source`] as a seventh.
 const SOURCES: [&str; 6] = [
     "int leaf(const char *s) { return *s; }\n\
@@ -336,13 +337,7 @@ fn soak_mixed_requests_under_env_faults_recover_byte_identical() {
             let big_refused = Arc::clone(&big_refused);
             let big_served = Arc::clone(&big_served);
             std::thread::spawn(move || {
-                // Short retry budget: a shed request surfaces as a
-                // structured error instead of stretching the soak.
-                let conn = Connect {
-                    socket,
-                    retries: 1,
-                    backoff_cap_ms: 10,
-                };
+                let conn = Connect::new(socket);
                 for i in 0..per_client {
                     let roll = splitmix(seed ^ (c << 32) ^ i);
                     let pick = (roll % (SOURCES.len() as u64 + 1)) as usize;

@@ -30,8 +30,10 @@
 //! [`analysis_fingerprint`] keeps exactly the deterministic subset.
 //!
 //! Version-1 documents also carry a per-unit list, `units`, from the
-//! unit driver that used to run analyses; nothing fills it any more,
-//! so it is always empty, and readers still find the key.
+//! unit driver that used to run analyses. The writer has no units and
+//! emits the list empty, so readers still find the key; the readers
+//! ([`schema::validate_metrics`], [`analysis_fingerprint`]) still
+//! accept a document whose list has entries.
 
 pub mod json;
 pub mod mem;
@@ -59,45 +61,23 @@ pub struct SpanStat {
     pub count: u64,
 }
 
-/// Metrics of one work unit. Nothing records units any more; the type
-/// stays so version-1 documents keep their shape (see the crate docs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UnitReport {
-    /// Unit label ("globals" or the SCC members joined with `+`).
-    pub label: String,
-    /// How the unit was satisfied: `analyzed`, `reused`, or
-    /// `quarantined`.
-    pub outcome: String,
-    /// The unit's wall time on its worker.
-    pub total_ns: u64,
-    /// Phase timings inside the unit.
-    pub spans: BTreeMap<String, SpanStat>,
-    /// Counters (both deterministic `analysis.*` and operational).
-    pub counters: BTreeMap<String, u64>,
-    /// High-water marks.
-    pub peaks: BTreeMap<String, u64>,
-}
-
 /// Everything one collector gathered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// Wall time of the whole collected scope.
     pub total_ns: u64,
     /// Aggregate phase timings (scope-level spans plus every absorbed
-    /// unit's, merged in absorption order).
+    /// report's).
     pub spans: BTreeMap<String, SpanStat>,
     /// Aggregate counters.
     pub counters: BTreeMap<String, u64>,
     /// Aggregate high-water marks.
     pub peaks: BTreeMap<String, u64>,
-    /// Per-unit detail, in deterministic unit order (always empty from
-    /// today's tools).
-    pub units: Vec<UnitReport>,
 }
 
 impl Report {
-    /// Folds another report's spans, counters, peaks, and units into
-    /// this one (sums, sums, maxima, append). `total_ns` is left alone:
+    /// Folds another report's spans, counters and peaks into this one
+    /// (sums, sums, maxima). `total_ns` is left alone:
     /// it describes a scope's wall clock, which merging cannot define.
     pub fn merge(&mut self, other: &Report) {
         for (name, stat) in &other.spans {
@@ -112,7 +92,6 @@ impl Report {
             let e = self.peaks.entry(name.clone()).or_default();
             *e = (*e).max(*n);
         }
-        self.units.extend(other.units.iter().cloned());
     }
 
     /// A counter's value, defaulting to zero.
@@ -127,62 +106,40 @@ impl Report {
         self.peaks.get(name).copied().unwrap_or(0)
     }
 
-    /// Serializes to the versioned metrics document.
+    /// Serializes to the versioned metrics document. Its `units` list
+    /// is empty (see the crate docs).
     #[must_use]
     pub fn to_json(&self, tool: &str, mode: &str) -> Json {
-        let maps = |spans: &BTreeMap<String, SpanStat>,
-                    counters: &BTreeMap<String, u64>,
-                    peaks: &BTreeMap<String, u64>| {
-            let spans_json = Json::Obj(
-                spans
-                    .iter()
-                    .map(|(k, s)| {
-                        (
-                            k.clone(),
-                            Json::Obj(vec![
-                                ("ns".to_owned(), Json::num(s.ns)),
-                                ("count".to_owned(), Json::num(s.count)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            );
-            let counters_json = Json::Obj(
-                counters.iter().map(|(k, n)| (k.clone(), Json::num(*n))).collect(),
-            );
-            let peaks_json = Json::Obj(
-                peaks.iter().map(|(k, n)| (k.clone(), Json::num(*n))).collect(),
-            );
-            (spans_json, counters_json, peaks_json)
-        };
-        let (spans, counters, peaks) =
-            maps(&self.spans, &self.counters, &self.peaks);
-        let units = Json::Arr(
-            self.units
+        let spans = Json::Obj(
+            self.spans
                 .iter()
-                .map(|u| {
-                    let (spans, counters, peaks) =
-                        maps(&u.spans, &u.counters, &u.peaks);
-                    Json::Obj(vec![
-                        ("label".to_owned(), Json::Str(u.label.clone())),
-                        ("outcome".to_owned(), Json::Str(u.outcome.clone())),
-                        ("total_ns".to_owned(), Json::num(u.total_ns)),
-                        ("spans".to_owned(), spans),
-                        ("counters".to_owned(), counters),
-                        ("peaks".to_owned(), peaks),
-                    ])
+                .map(|(k, s)| {
+                    (
+                        k.clone(),
+                        Json::Obj(vec![
+                            ("ns".to_owned(), Json::num(s.ns)),
+                            ("count".to_owned(), Json::num(s.count)),
+                        ]),
+                    )
                 })
                 .collect(),
         );
+        let counts = |map: &BTreeMap<String, u64>| {
+            Json::Obj(
+                map.iter()
+                    .map(|(k, n)| (k.clone(), Json::num(*n)))
+                    .collect(),
+            )
+        };
         Json::Obj(vec![
             ("version".to_owned(), Json::num(METRICS_VERSION)),
             ("tool".to_owned(), Json::Str(tool.to_owned())),
             ("mode".to_owned(), Json::Str(mode.to_owned())),
             ("total_ns".to_owned(), Json::num(self.total_ns)),
             ("spans".to_owned(), spans),
-            ("counters".to_owned(), counters),
-            ("peaks".to_owned(), peaks),
-            ("units".to_owned(), units),
+            ("counters".to_owned(), counts(&self.counters)),
+            ("peaks".to_owned(), counts(&self.peaks)),
+            ("units".to_owned(), Json::Arr(Vec::new())),
         ])
     }
 }
@@ -349,7 +306,7 @@ fn render_scalar(v: &Json) -> String {
 }
 
 /// Renders the human `--metrics-summary` table: phases by descending
-/// wall time, then counters, peaks, and a one-line unit tally.
+/// wall time, then counters and peaks.
 #[must_use]
 pub fn render_summary(report: &Report, tool: &str, mode: &str) -> String {
     let mut out = String::new();
@@ -383,19 +340,6 @@ pub fn render_summary(report: &Report, tool: &str, mode: &str) -> String {
         for (name, n) in &report.peaks {
             let _ = writeln!(out, "    {name:<32} {n:>12}");
         }
-    }
-    if !report.units.is_empty() {
-        let tally = |what: &str| {
-            report.units.iter().filter(|u| u.outcome == what).count()
-        };
-        let _ = writeln!(
-            out,
-            "  units: {} ({} analyzed, {} reused, {} quarantined)",
-            report.units.len(),
-            tally("analyzed"),
-            tally("reused"),
-            tally("quarantined")
-        );
     }
     out
 }
@@ -461,36 +405,6 @@ mod tests {
         assert_eq!(outer.counter("after"), 1);
     }
 
-    fn unit_report(label: &str, outcome: &str) -> UnitReport {
-        UnitReport {
-            label: label.to_owned(),
-            outcome: outcome.to_owned(),
-            ..UnitReport::default()
-        }
-    }
-
-    #[test]
-    fn units_aggregate_deterministically() {
-        // A version-1 document's units survive `merge` in merge order,
-        // beside the summed aggregates.
-        let ((), mut a) = scoped(|| {
-            let _s = span("cgen-constraints");
-            count("analysis.constraints", 3);
-        });
-        a.units.push(unit_report("globals", "analyzed"));
-        let mut b = Report::default();
-        b.counters.insert("analysis.constraints".to_owned(), 4);
-        b.units.push(unit_report("f+g", "reused"));
-        let mut rep = Report::default();
-        rep.merge(&a);
-        rep.merge(&b);
-        assert_eq!(rep.units.len(), 2);
-        assert_eq!(rep.units[0].label, "globals");
-        assert_eq!(rep.units[1].outcome, "reused");
-        assert_eq!(rep.counter("analysis.constraints"), 7);
-        assert_eq!(rep.spans["cgen-constraints"].count, 1);
-    }
-
     #[test]
     fn fingerprint_ignores_timings_and_operational_keys() {
         let mut a = Report::default();
@@ -516,12 +430,9 @@ mod tests {
             count("analysis.merged_constraints", 12);
             peak("solve.vars", 7);
         });
-        let mut rep = rep;
-        rep.units.push(unit_report("globals", "analyzed"));
         let text = render_summary(&rep, "cqual", "poly");
         assert!(text.contains("solve-propagate"), "{text}");
         assert!(text.contains("analysis.merged_constraints"), "{text}");
         assert!(text.contains("solve.vars"), "{text}");
-        assert!(text.contains("units: 1 (1 analyzed, 0 reused, 0 quarantined)"), "{text}");
     }
 }

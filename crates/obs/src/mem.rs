@@ -15,8 +15,9 @@
 //! trigger — the library never assumes it owns the allocator.
 //!
 //! The budget discipline mirrors the solver-step budgets in the engine:
-//! [`unit_budget`] arms a limit for the current thread (the worker about
-//! to run one unit), the engine's work-accounting loop polls
+//! [`unit_budget`] arms a limit for the current thread (the engine's,
+//! about to run one fault unit, or the `cquald` connection thread's,
+//! about to run one request), the engine's work-accounting loop polls
 //! [`unit_overrun`] — one relaxed atomic load when no budget is armed
 //! anywhere — and an overrun unwinds as a structured diagnostic through
 //! the same rollback-and-exclude path as a solver-step overrun, instead

@@ -158,23 +158,25 @@ fn validate_count_map(map: Option<&Json>, ctx: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scoped, UnitReport};
+    use crate::json::parse;
 
-    /// A live document plus one version-1 unit entry, so the unit
-    /// checks have something to check.
+    /// A version-1 document with one unit entry, as the unit driver
+    /// wrote them, so the unit checks have something to check.
     fn sample_doc() -> Json {
-        let ((), mut rep) = scoped(|| crate::count("analysis.positions_total", 1));
-        rep.units.push(UnitReport {
-            label: "globals".to_owned(),
-            outcome: "analyzed".to_owned(),
-            ..UnitReport::default()
-        });
-        rep.to_json("cqual", "poly")
+        parse(
+            r#"{"version": 1, "tool": "cqual", "mode": "poly", "total_ns": 5,
+                "spans": {}, "counters": {"analysis.positions_total": 1}, "peaks": {},
+                "units": [{"label": "globals", "outcome": "analyzed", "total_ns": 2,
+                           "spans": {}, "counters": {}, "peaks": {}}]}"#,
+        )
+        .expect("sample document parses")
     }
 
     #[test]
     fn emitted_documents_validate() {
-        validate_metrics(&sample_doc()).expect("emitted doc must be schema-valid");
+        let ((), rep) = crate::scoped(|| crate::count("analysis.positions_total", 1));
+        validate_metrics(&rep.to_json("cqual", "poly")).expect("emitted doc must be schema-valid");
+        validate_metrics(&sample_doc()).expect("a version-1 doc with units is schema-valid");
     }
 
     #[test]

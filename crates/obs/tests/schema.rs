@@ -19,10 +19,7 @@ use std::path::PathBuf;
 
 use qual_obs::json::{parse, Json};
 use qual_obs::schema::{validate_metrics, METRICS_SCHEMA};
-use qual_obs::{
-    analysis_fingerprint, render_summary, Report, SpanStat, UnitReport,
-    METRICS_VERSION,
-};
+use qual_obs::{analysis_fingerprint, render_summary, Report, SpanStat, METRICS_VERSION};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -84,31 +81,6 @@ fn sample_report() -> Report {
     }
     rep.peaks.insert("arena.qtypes".to_owned(), 23);
     rep.peaks.insert("sched.jobs".to_owned(), 4);
-    rep.units.push(UnitReport {
-        label: "globals".to_owned(),
-        outcome: "analyzed".to_owned(),
-        total_ns: 200_000,
-        spans: [(
-            "cgen-constraints".to_owned(),
-            SpanStat { ns: 150_000, count: 1 },
-        )]
-        .into(),
-        counters: [
-            ("analysis.constraints".to_owned(), 4),
-            ("solve.steps".to_owned(), 12),
-        ]
-        .into(),
-        peaks: [("arena.qtypes".to_owned(), 9)].into(),
-    });
-    rep.units.push(UnitReport {
-        label: "helper+user".to_owned(),
-        outcome: "reused".to_owned(),
-        total_ns: 6_000,
-        spans: [("cache-read".to_owned(), SpanStat { ns: 3_000, count: 1 })]
-            .into(),
-        counters: [("analysis.constraints".to_owned(), 37)].into(),
-        peaks: std::collections::BTreeMap::new(),
-    });
     rep
 }
 
@@ -188,6 +160,39 @@ fn version_bump_is_rejected_but_parseable() {
     assert!(err.contains("newer than supported"), "{err}");
 }
 
+/// The unit driver wrote a `units` entry per unit; nothing writes one
+/// now, but documents from outside the program may carry them, and
+/// both readers still take them.
+#[test]
+fn a_version_1_document_with_a_unit_validates_and_fingerprints() {
+    let text = r#"{
+  "version": 1,
+  "tool": "cqual",
+  "mode": "poly",
+  "total_ns": 1234567,
+  "spans": {"parse": {"ns": 100000, "count": 1}},
+  "counters": {"analysis.units": 1, "solve.steps": 96},
+  "peaks": {"arena.qtypes": 23},
+  "units": [
+    {
+      "label": "helper+user",
+      "outcome": "reused",
+      "total_ns": 6000,
+      "spans": {"cache-read": {"ns": 3000, "count": 1}},
+      "counters": {"analysis.constraints": 37, "solve.steps": 12},
+      "peaks": {}
+    }
+  ]
+}"#;
+    let doc = parse(text).expect("parses");
+    validate_metrics(&doc).expect("a version-1 document with a unit validates");
+    assert_eq!(
+        analysis_fingerprint(&doc),
+        "version=1\ntool=cqual\nmode=poly\nanalysis.units=1\n\
+         unit helper+user\n  analysis.constraints=37\n"
+    );
+}
+
 #[test]
 fn real_collector_output_validates() {
     let ((), rep) = qual_obs::scoped(|| {
@@ -195,8 +200,8 @@ fn real_collector_output_validates() {
         qual_obs::count("analysis.positions_total", 1);
         qual_obs::peak("arena.qtypes", 3);
     });
-    // A live collector records no units; the document still carries
-    // the (empty) list version-1 readers require.
+    // The writer has no units; the document still carries the (empty)
+    // list version-1 readers require.
     let doc = rep.to_json("test", "mono");
     assert!(doc.get("units").and_then(Json::as_arr).is_some_and(<[Json]>::is_empty));
     validate_metrics(&doc).expect("live doc validates");
